@@ -24,7 +24,7 @@ from .graphs import (
     write_edge_list,
 )
 from .laplacian import degree_adjacency, format_matrix, incidence_matrix, laplacian_of
-from .lifting import LiftedGraph, lift, lifted_incidence_blocks
+from .lifting import LiftedGraph, lift
 from .oracle import (
     GenerationError,
     GeneratorConfig,
@@ -45,6 +45,7 @@ from .spectral import (
     SubsetMatch,
     VerificationReport,
     algebraic_connectivity,
+    bound_rows,
     degree_upper_bound,
     eigen_sym,
     fiedler_lower_bound,
@@ -77,7 +78,6 @@ __all__ = [
     "laplacian_of",
     "LiftedGraph",
     "lift",
-    "lifted_incidence_blocks",
     "GenerationError",
     "GeneratorConfig",
     "OracleError",
@@ -95,6 +95,7 @@ __all__ = [
     "SubsetMatch",
     "VerificationReport",
     "algebraic_connectivity",
+    "bound_rows",
     "degree_upper_bound",
     "eigen_sym",
     "fiedler_lower_bound",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -31,14 +32,19 @@ from .graphs import (
 )
 from .laplacian import format_matrix, laplacian_of
 from .lifting import lift
-from .oracle import GenerationError, GeneratorConfig, enumerate_graphs, random_graph
+from .oracle import (
+    MAX_ENUM_VERTICES,
+    GenerationError,
+    GeneratorConfig,
+    enumerate_graphs,
+    random_graph,
+)
 from .spectral import (
     JacobiConvergenceError,
     MATCH_TOL,
     VerificationReport,
-    degree_upper_bound,
+    bound_rows,
     eigen_sym,
-    fiedler_lower_bound,
     verify_all,
 )
 
@@ -77,9 +83,10 @@ def _fmt(x: float) -> str:
 
 
 def _round9(obj):
-    """Recursively round floats to 9 significant digits for stable JSON."""
+    """Recursively round floats to 9 significant digits for stable JSON;
+    a non-finite float, which strict JSON cannot carry, becomes None."""
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -88,7 +95,7 @@ def _round9(obj):
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(_round9(payload), indent=2))
+    print(json.dumps(_round9(payload), indent=2, allow_nan=False))
 
 
 def _match_tol() -> float:
@@ -111,30 +118,6 @@ def _load(path: str) -> Graph:
         raise EdgeListError(f"{path}: {exc}") from exc
 
 
-def _bound_rows(g: Graph, eigenvalues: np.ndarray) -> list[dict]:
-    """Applicable eigenvalue bounds with margins (positive = slack)."""
-    rows: list[dict] = []
-    lam_max = float(eigenvalues[-1])
-    loopless = g.loop_count == 0
-    if loopless and g.n >= 2 and connected_components(g).count == 1:
-        bound = fiedler_lower_bound(g.n)
-        value = float(eigenvalues[1])
-        rows.append(
-            {"id": "eq2", "kind": "lower", "bound": bound, "value": value, "margin": value - bound}
-        )
-    bound = degree_upper_bound(g)
-    rows.append(
-        {
-            "id": "eq3" if loopless else "eq8",
-            "kind": "upper",
-            "bound": bound,
-            "value": lam_max,
-            "margin": bound - lam_max,
-        }
-    )
-    return rows
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load(args.path)
     lap = laplacian_of(g)
@@ -143,7 +126,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pseudo = is_pseudo_connected(g)
     loopless = g.loop_count == 0
     algebraic = float(spectrum.eigenvalues[1]) if loopless and g.n >= 2 else None
-    bounds = _bound_rows(g, spectrum.eigenvalues)
+    bounds = bound_rows(g, spectrum.eigenvalues, parts.count == 1)
 
     if args.format == "json":
         _print_json(
@@ -249,7 +232,14 @@ def run_sweep(
     draws ``samples`` graphs with n uniform in [n_min, n_max]; per-sample
     seeds are derived from ``seed`` up front, so any failure is reproducible
     from its record alone without replaying the whole sweep.
+
+    Raises ``ValueError`` before verifying anything when an exhaustive sweep
+    asks for more than ``MAX_ENUM_VERTICES`` vertices.
     """
+    if mode == "exhaustive" and n_max > MAX_ENUM_VERTICES:
+        raise ValueError(
+            f"exhaustive sweeps are capped at n-max {MAX_ENUM_VERTICES}, got {n_max}"
+        )
     failures: list[dict] = []
     total = 0
     if mode == "exhaustive":
@@ -281,8 +271,6 @@ def run_sweep(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.mode == "exhaustive" and args.n_max > 5:
-        raise ValueError(f"exhaustive sweeps are capped at n-max 5, got {args.n_max}")
     if args.n_min > args.n_max:
         raise ValueError(f"n-min {args.n_min} exceeds n-max {args.n_max}")
     result = run_sweep(

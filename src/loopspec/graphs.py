@@ -172,7 +172,12 @@ def is_pseudo_connected(g: Graph) -> bool:
     An isolated vertex is a loopless singleton component, so the
     per-component loop rule also enforces the minimum-degree clause.
     """
-    parts = connected_components(g)
+    return _pseudo_connected(g, connected_components(g))
+
+
+def _pseudo_connected(g: Graph, parts: ComponentPartition) -> bool:
+    """:func:`is_pseudo_connected` given ``g``'s component partition, for
+    callers that already hold it."""
     component_has_loop = [False] * (parts.count + 1)
     for v in g.self_loops():
         component_has_loop[parts.labels[v - 1]] = True

@@ -11,27 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import Edge, Graph
 
-__all__ = ["LiftedGraph", "lift", "lifted_incidence_blocks"]
+__all__ = ["LiftedGraph", "lift"]
 
 
 @dataclass(frozen=True)
 class LiftedGraph:
     """Result of :func:`lift`: the base graph, its loopless lift, and the
-    middle vertex index N+1.
-
-    ``edge_order`` is the fixed construction order of the lifted edges
-    (original-copy edges, then shifted-copy edges, then per-loop spoke
-    pairs); it makes incidence-level golden tests deterministic.
-    """
+    middle vertex index N+1."""
 
     base: Graph
     lifted: Graph
     middle: int
-    edge_order: tuple[Edge, ...]
 
 
 def lift(g: Graph) -> LiftedGraph:
@@ -41,32 +33,10 @@ def lift(g: Graph) -> LiftedGraph:
     """
     middle = g.n + 1
     nonloops = g.nonloop_edges()
-    order: list[Edge] = list(nonloops)
-    order += [(i + middle, j + middle) for i, j in nonloops]
+    edges: list[Edge] = list(nonloops)
+    edges += [(i + middle, j + middle) for i, j in nonloops]
     for v in g.self_loops():
-        order.append((v, middle))
-        order.append((middle, v + middle))
-    lifted = Graph(2 * g.n + 1, frozenset(order))
-    return LiftedGraph(g, lifted, middle, tuple(order))
+        edges.append((v, middle))
+        edges.append((middle, v + middle))
+    return LiftedGraph(g, Graph(2 * g.n + 1, frozenset(edges)), middle)
 
-
-def lifted_incidence_blocks(lg: LiftedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Incidence blocks (E0, S) of the base graph: non-loop rows and loop rows.
-
-    E0 is the incidence matrix of the base graph with loops removed; S has one
-    row per self-loop with a single +1 at the loop vertex. Stacking [E0; S]
-    gives the base incidence matrix up to row order (the canonical edge order
-    interleaves loops with non-loop edges), so E0^T E0 + S^T S is exactly the
-    base Laplacian.
-    """
-    base = lg.base
-    nonloops = base.nonloop_edges()
-    loops = base.self_loops()
-    e0 = np.zeros((len(nonloops), base.n), dtype=np.int64)
-    for r, (i, j) in enumerate(nonloops):
-        e0[r, i - 1] = 1
-        e0[r, j - 1] = -1
-    s = np.zeros((len(loops), base.n), dtype=np.int64)
-    for r, v in enumerate(loops):
-        s[r, v - 1] = 1
-    return e0, s

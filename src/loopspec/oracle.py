@@ -2,18 +2,19 @@
 generation, exhaustive enumeration of small graphs, and an exact
 characteristic-polynomial eigenvalue oracle.
 
-The oracle path is pure integer/rational arithmetic (Faddeev-LeVerrier for
-the polynomial, Yun square-free factoring for multiplicities, Sturm chains
-plus bisection for the roots). Its only approximation is the final bisection
-width, so agreement with the floating-point solver is a real cross-check and
-not a tautology.
+The oracle path is pure integer arithmetic: Faddeev-LeVerrier for the
+characteristic polynomial, then one counting rule. The polynomial of a
+symmetric matrix has only real roots, so Descartes' rule of signs applied to
+p(x + t) counts the eigenvalues above x exactly, with multiplicity, and
+bisection on that count pins down each eigenvalue. Its only approximation
+is the final bisection width, so agreement with the floating-point solver is
+a real cross-check and not a tautology.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -139,181 +140,47 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         yield graph_from_edges(n, edges)
 
 
-# --- exact polynomial arithmetic (ascending coefficient lists of Fraction) ---
+# --- exact eigenvalue counting (ascending integer coefficient lists) ---
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _degree(p: list[Fraction]) -> int:
-    return len(p) - 1
-
-
-def _derivative(p: list[Fraction]) -> list[Fraction]:
-    if len(p) == 1:
-        return [Fraction(0)]
-    return _trim([k * c for k, c in enumerate(p)][1:])
-
-
-def _eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    qlen = len(a) - len(b) + 1
-    if qlen <= 0:
-        return [Fraction(0)], _trim(rem)
-    quot = [Fraction(0)] * qlen
-    lead = b[-1]
-    for k in range(qlen - 1, -1, -1):
-        coeff = rem[k + len(b) - 1] / lead
-        quot[k] = coeff
-        if coeff:
-            for i, bc in enumerate(b):
-                rem[k + i] -= coeff * bc
-    return _trim(quot), _trim(rem)
-
-
-def _exact_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    quot, rem = _divmod(a, b)
-    if rem != [Fraction(0)]:
-        raise OracleError("polynomial division expected to be exact was not")
-    return quot
-
-
-def _monic_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b != [Fraction(0)]:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    if a == [Fraction(0)]:
-        return a
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _square_free_factors(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's decomposition: pairwise-coprime square-free monic factors f_k
-    with p = prod f_k^k (constant factors dropped)."""
-    dp = _derivative(p)
-    g = _monic_gcd(p, dp)
-    if _degree(g) == 0:
-        return [(p, 1)]
-    b = _exact_div(p, g)
-    c = _exact_div(dp, g)
-    d = _trim([ci - bi for ci, bi in _zip_pad(c, _derivative(b))])
-    factors: list[tuple[list[Fraction], int]] = []
-    k = 1
-    while _degree(b) > 0:
-        f = _monic_gcd(b, d)
-        if _degree(f) > 0:
-            factors.append((f, k))
-        b = _exact_div(b, f)
-        c = _exact_div(d, f)
-        d = _trim([ci - bi for ci, bi in _zip_pad(c, _derivative(b))])
-        k += 1
-    return factors
-
-
-def _zip_pad(a: list[Fraction], b: list[Fraction]) -> Iterator[tuple[Fraction, Fraction]]:
-    width = max(len(a), len(b))
-    za = a + [Fraction(0)] * (width - len(a))
-    zb = b + [Fraction(0)] * (width - len(b))
-    return zip(za, zb)
-
-
-def _sturm_chain(f: list[Fraction]) -> list[list[Fraction]]:
-    chain = [f, _derivative(f)]
-    while _degree(chain[-1]) > 0:
-        _, r = _divmod(chain[-2], chain[-1])
-        if r == [Fraction(0)]:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = _eval(poly, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_roots(chain: list[list[Fraction]], lo: Fraction, hi: Fraction) -> int:
-    return _variations(chain, lo) - _variations(chain, hi)
-
-
-def _isolate_roots(
-    f: list[Fraction], lo: Fraction, hi: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Intervals each holding exactly one root of square-free f, which must
-    not vanish at any rational point probed (callers strip rational roots
-    first, so every evaluation has a definite sign)."""
-    chain = _sturm_chain(f)
-    found: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, _count_roots(chain, lo, hi))]
-    while stack:
-        a, b, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            found.append((a, b))
-            continue
-        mid = (a + b) / 2
-        left = _count_roots(chain, a, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, k - left))
-    return found
-
-
-def _bisect_root(f: list[Fraction], lo: Fraction, hi: Fraction, tol: float) -> float:
-    sign_lo = 1 if _eval(f, lo) > 0 else -1
-    a, b = lo, hi
-    while b - a > tol:
-        mid = (a + b) / 2
-        v = _eval(f, mid)
-        if v == 0:
-            return float(mid)
-        if (1 if v > 0 else -1) == sign_lo:
-            a = mid
-        else:
-            b = mid
-    return float((a + b) / 2)
-
-
-def _charpoly(entries: list[list[int]]) -> list[Fraction]:
-    """Coefficients of det(xI - M), ascending, by Faddeev-LeVerrier."""
+def _charpoly(entries: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - M), ascending, by Faddeev-LeVerrier over the
+    integers: for an integer matrix every division by k is exact."""
     n = len(entries)
-    m = [[Fraction(v) for v in row] for row in entries]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    work = [row[:] for row in m]
+    coeffs = [0] * n + [1]
+    work = [row[:] for row in entries]
     for k in range(1, n + 1):
         if k > 1:
-            shifted = [row[:] for row in work]
             for i in range(n):
-                shifted[i][i] += coeffs[n - k + 1]
+                work[i][i] += coeffs[n - k + 1]
             work = [
-                [sum(m[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
+                [sum(entries[i][t] * work[t][j] for t in range(n)) for j in range(n)]
                 for i in range(n)
             ]
-        trace = sum(work[i][i] for i in range(n))
-        coeffs[n - k] = -trace / k
-    for c in coeffs:
-        if c.denominator != 1:
+        coeffs[n - k], rem = divmod(-sum(work[i][i] for i in range(n)), k)
+        if rem:
             raise OracleError("characteristic polynomial came out non-integral")
     return coeffs
+
+
+def _count(poly: list[int], num: int, scale: int) -> tuple[int, int]:
+    """(#roots < x, #roots <= x) of a real-rooted ``poly`` at x = num / 2^scale,
+    with multiplicity.
+
+    Scaling the roots by 2^scale makes x an integer; the Taylor shift
+    p(x + t) then has exactly as many roots t > 0 as its coefficients have
+    sign changes (Descartes' rule is exact when every root is real), and its
+    zero low-order coefficients count the roots at x.
+    """
+    n = len(poly) - 1
+    shifted = [c << (scale * (n - i)) for i, c in enumerate(poly)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            shifted[j] += num * shifted[j + 1]
+    at = next(i for i, c in enumerate(shifted) if c)
+    nonzero = [c for c in shifted if c]
+    above = sum((a < 0) != (b < 0) for a, b in zip(nonzero, nonzero[1:]))
+    return n - above - at, n - above
 
 
 def _as_integer_matrix(m) -> list[list[int]]:
@@ -335,53 +202,49 @@ def _as_integer_matrix(m) -> list[list[int]]:
 
 def charpoly_eigenvalues(m, tol: float = 1e-12) -> list[float]:
     """All eigenvalues of a small symmetric integer matrix, with multiplicity,
-    ascending, via exact characteristic-polynomial root isolation.
+    ascending, by exact eigenvalue counting on the characteristic polynomial.
 
-    Multiplicities come from square-free factoring, rational roots are
-    recovered exactly (a monic integer polynomial has only integer rational
-    roots), and the remaining roots are bisected to ``tol`` inside the
-    bracket [-1, 2n+2] that covers every graph Laplacian of order n. A root
-    outside the bracket (possible for general symmetric input, never for a
+    Symmetry guarantees that every root of the polynomial is real, which is
+    what makes the sign-change count in :func:`_count` exact. Each eigenvalue
+    is bisected separately at dyadic points of a power-of-two-wide bracket
+    starting at -1, so every integer is a bisection point and integer
+    eigenvalues come out exact; the others are returned as the midpoint of a
+    final interval at most ``tol`` wide. Every eigenvalue must lie in the
+    closed bracket [-1, 2n+2], which covers every graph Laplacian of order
+    n; one outside it (possible for general symmetric input, never for a
     Laplacian) raises :class:`OracleError`.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     entries = _as_integer_matrix(m)
     n = len(entries)
     if n > MAX_ORACLE_ORDER:
         raise ValueError(f"oracle is capped at order {MAX_ORACLE_ORDER}, got {n}")
     poly = _charpoly(entries)
-    lo, hi = Fraction(-1), Fraction(2 * n + 2)
+    lo, hi = -1, 2 * n + 2
+    below_lo, at_most_lo = _count(poly, lo, 0)
+    if below_lo or _count(poly, hi, 0)[1] < n:
+        raise OracleError(f"an eigenvalue falls outside the bracket [{lo}, {hi}]")
+    # Bisect on [lo, lo + 2^width_log2], which contains [lo, hi], at the
+    # points num / 2^scale, down to a final interval 2^-scale <= tol wide.
+    width_log2 = (hi - lo).bit_length()
+    scale = 0
+    while 2.0**-scale > tol:
+        scale += 1
     roots: list[float] = []
-    for factor, mult in _square_free_factors(poly):
-        remaining = factor
-        # integer roots first, removed exactly, so later evaluations at
-        # rational points can never hit zero
-        for k in range(-1, 2 * n + 3):
-            if _degree(remaining) == 0:
-                break
-            candidate = Fraction(k)
-            if _eval(remaining, candidate) == 0:
-                if not lo < candidate <= hi and candidate != lo:
-                    raise OracleError(
-                        f"root {k} falls outside the bracket [{lo}, {hi}]"
-                    )
-                roots.extend([float(k)] * mult)
-                remaining = _exact_div(
-                    remaining, [Fraction(-k), Fraction(1)]
-                )
-        if _degree(remaining) == 0:
+    for k in range(n):
+        if k < at_most_lo:
+            roots.append(float(lo))
             continue
-        intervals = _isolate_roots(remaining, lo, hi)
-        if len(intervals) != _degree(remaining):
-            raise OracleError(
-                f"isolated {len(intervals)} roots of a degree-{_degree(remaining)} "
-                f"factor inside [{lo}, {hi}]; some root lies outside the bracket"
-            )
-        for a, b in intervals:
-            roots.extend([_bisect_root(remaining, a, b, tol)] * mult)
-    if len(roots) != n:
-        raise OracleError(
-            f"recovered {len(roots)} of {n} eigenvalues inside [{lo}, {hi}]"
-        )
-    return sorted(roots)
+        num, step = lo << scale, 1 << (width_log2 + scale)
+        while step > 1:
+            step >>= 1
+            below, at_most = _count(poly, num + step, scale)
+            if below <= k:
+                num += step
+                if k < at_most:
+                    roots.append(num / (1 << scale))
+                    break
+        else:
+            roots.append((2 * num + 1) / (2 << scale))
+    return roots

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, connected_components, is_pseudo_connected, max_degree, strip_self_loops
+from .graphs import Graph, _pseudo_connected, connected_components, max_degree, strip_self_loops
 from .laplacian import laplacian_of
 from .lifting import lift
 
@@ -50,6 +50,7 @@ __all__ = [
     "algebraic_connectivity",
     "fiedler_lower_bound",
     "degree_upper_bound",
+    "bound_rows",
     "spectrum_subset",
     "verify_all",
 ]
@@ -194,6 +195,36 @@ def degree_upper_bound(g: Graph) -> float:
     return 2.0 * max_degree(g)
 
 
+def bound_rows(g: Graph, eigenvalues: np.ndarray, connected: bool) -> list[dict]:
+    """The closed-form eigenvalue bounds that apply to ``g``, one row each.
+
+    ``eq2`` (lower bound on the algebraic connectivity) applies to connected
+    loopless graphs with >= 2 vertices; the degree upper bound on the largest
+    eigenvalue applies always, as ``eq3`` without loops and ``eq8`` with.
+    ``eigenvalues`` are ascending; ``connected`` says whether ``g`` has one
+    component. A row holds id, kind ("lower"/"upper"), bound, value, and
+    margin (positive = slack).
+    """
+    rows: list[dict] = []
+    loopless = g.loop_count == 0
+    if connected and loopless and g.n >= 2:
+        bound, value = fiedler_lower_bound(g.n), float(eigenvalues[1])
+        rows.append(
+            {"id": "eq2", "kind": "lower", "bound": bound, "value": value, "margin": value - bound}
+        )
+    bound, value = degree_upper_bound(g), float(eigenvalues[-1])
+    rows.append(
+        {
+            "id": "eq3" if loopless else "eq8",
+            "kind": "upper",
+            "bound": bound,
+            "value": value,
+            "margin": bound - value,
+        }
+    )
+    return rows
+
+
 @dataclass(frozen=True)
 class SubsetMatch:
     """Witness for a one-sided spectrum inclusion test.
@@ -320,32 +351,26 @@ def verify_all(
     spec_lift = eigen_sym(lap_lift, solver_tol)
 
     parts = connected_components(g)
-    pseudo = is_pseudo_connected(g)
-    loopless = g.loop_count == 0
+    pseudo = _pseudo_connected(g, parts)
 
     tol_base = match_tol * max(1.0, spec.spectral_radius)
     tol_lift = match_tol * max(1.0, spec_lift.spectral_radius)
     pos_base = POSITIVITY_TOL * max(1.0, spec.spectral_radius)
     pos_lift = POSITIVITY_TOL * max(1.0, spec_lift.spectral_radius)
 
-    lam_min = float(spec.eigenvalues[0])
     lam_max = float(spec.eigenvalues[-1])
 
-    checks: list[CheckResult] = []
-
-    if parts.count == 1 and loopless and g.n >= 2:
-        margin = float(spec.eigenvalues[1]) - fiedler_lower_bound(g.n)
-        checks.append(CheckResult("eq2", margin >= -tol_base, margin))
-
-    degree_margin = degree_upper_bound(g) - lam_max
-    checks.append(CheckResult("eq3" if loopless else "eq8", degree_margin >= -tol_base, degree_margin))
+    rows = bound_rows(g, spec.eigenvalues, parts.count == 1)
+    checks = [CheckResult(r["id"], r["margin"] >= -tol_base, r["margin"]) for r in rows]
 
     if pseudo:
-        margin = lam_min - pos_base
+        margin = float(spec.eigenvalues[0]) - pos_base
         checks.append(CheckResult("lemma1", margin > 0.0, margin))
 
     match = spectrum_subset(spec, spec_lift, tol_lift)
-    interval_bound = 2.0 * max_degree(strip_self_loops(g)) + 1.0
+    # eq6's interval [0, 2 d(stripped) + 1] is eq8's degree bound; a loopless
+    # graph is its own stripped graph, so there it is eq3's bound plus one
+    interval_bound = rows[-1]["bound"] + (1.0 if g.loop_count == 0 else 0.0)
     match_margin = (tol_lift - match.worst_gap) if match.ok else (tol_lift - match.unmatched_gap)
     margin6 = min(match_margin, interval_bound + tol_lift - lam_max)
     checks.append(CheckResult("eq6", match.ok and margin6 >= 0.0, margin6))

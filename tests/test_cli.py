@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from loopspec import read_edge_list, verify_all
+from loopspec import cli, read_edge_list, verify_all
 from loopspec.cli import main, run_sweep
+from loopspec.oracle import MAX_ENUM_VERTICES
 
 WORKED = "2 2\n1 1\n1 2\n"
 
@@ -126,13 +127,19 @@ def test_verify_matches_library_report(worked_file, capsys):
         assert got["margin"] == pytest.approx(want["margin"], abs=1e-8)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def test_loopspec_tol_env_failure_path(worked_file, capsys, monkeypatch):
     monkeypatch.setenv("LOOPSPEC_TOL", "1e-300")
     code, out, _ = run_cli(capsys, "verify", worked_file)
     assert code == 1
-    doc = json.loads(out)
+    doc = json.loads(out, parse_constant=_reject_constant)
     failed = [c["id"] for c in doc["checks"] if not c["pass"]]
     assert "eq6" in failed
+    # eq7 cannot be certified without a complete eq6 matching: no margin
+    assert {"id": "eq7", "pass": False, "margin": None} in doc["checks"]
 
 
 def test_loopspec_tol_env_must_be_a_positive_number(worked_file, capsys, monkeypatch):
@@ -223,6 +230,15 @@ def test_sweep_exhaustive_cap(capsys):
     code, _, err = run_cli(capsys, "sweep", "--mode", "exhaustive", "--n-max", "6")
     assert code == 2
     assert "capped" in err
+
+
+def test_run_sweep_checks_exhaustive_cap_before_verifying(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("verified a graph before checking the cap")
+
+    monkeypatch.setattr(cli, "verify_all", fail)
+    with pytest.raises(ValueError, match="capped"):
+        run_sweep("exhaustive", n_max=MAX_ENUM_VERTICES + 1)
 
 
 def test_sweep_zero_samples(capsys):

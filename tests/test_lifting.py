@@ -5,7 +5,6 @@ from loopspec import (
     graph_from_edges,
     laplacian_of,
     lift,
-    lifted_incidence_blocks,
     new_graph,
 )
 from builders import graphs, path_graph
@@ -76,32 +75,6 @@ def test_lifted_laplacian_blocks(g):
         expected = -1 if g.has_edge(v, v) else 0
         assert big[mid, v - 1] == expected
         assert big[mid, n + v] == expected
-
-
-@given(graphs())
-def test_incidence_blocks_recompose_base_laplacian(g):
-    e0, s = lifted_incidence_blocks(lift(g))
-    assert np.array_equal(e0.T @ e0 + s.T @ s, laplacian_of(g))
-    # each loop row selects exactly its vertex
-    assert s.shape == (g.loop_count, g.n)
-    if g.loop_count:
-        assert sorted(s.sum(axis=1).tolist()) == [1] * g.loop_count
-        assert set(s.flatten().tolist()) <= {0, 1}
-
-
-def test_edge_order_is_stable():
-    g = graph_from_edges(3, [(1, 1), (2, 3), (3, 3)])
-    lg = lift(g)
-    mid = 4
-    assert lg.edge_order == (
-        (2, 3),
-        (2 + mid, 3 + mid),
-        (1, mid),
-        (mid, 1 + mid),
-        (3, mid),
-        (mid, 3 + mid),
-    )
-    assert frozenset(lg.edge_order) == lg.lifted.edges
 
 
 def test_lift_of_single_vertex():

@@ -163,8 +163,9 @@ def test_oracle_input_validation():
         charpoly_eigenvalues(np.array([[1, 2], [0, 1]]))
     with pytest.raises(ValueError, match="integer"):
         charpoly_eigenvalues(np.array([[0.5]]))
-    with pytest.raises(ValueError, match="tol"):
-        charpoly_eigenvalues(np.eye(2, dtype=int), tol=-1.0)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            charpoly_eigenvalues(np.eye(2, dtype=int), tol=tol)
 
 
 def test_oracle_detects_roots_outside_bracket():
@@ -172,6 +173,45 @@ def test_oracle_detects_roots_outside_bracket():
         charpoly_eigenvalues(np.array([[-5]]))
     with pytest.raises(OracleError):
         charpoly_eigenvalues(np.array([[100]]))
+
+
+@pytest.mark.parametrize(
+    "m,expected",
+    [([[-1]], [-1.0]), ([[4]], [4.0]), ([[0, 1], [1, 0]], [-1.0, 1.0])],
+)
+def test_oracle_accepts_eigenvalues_at_the_bracket_ends(m, expected):
+    # the bracket [-1, 2n+2] is closed, and its ends are returned exactly
+    assert charpoly_eigenvalues(np.array(m)) == expected
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    upper = draw(
+        st.lists(
+            st.integers(min_value=-3, max_value=4),
+            min_size=n * (n + 1) // 2,
+            max_size=n * (n + 1) // 2,
+        )
+    )
+    m = np.zeros((n, n), dtype=int)
+    m[np.triu_indices(n)] = upper
+    return m + np.triu(m, 1).T
+
+
+@given(symmetric_integer_matrices())
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_lapack_or_rejects_out_of_bracket(m):
+    n = len(m)
+    ref = np.linalg.eigvalsh(m)
+    try:
+        roots = charpoly_eigenvalues(m)
+    except OracleError:
+        # only a spectrum reaching past [-1, 2n+2] may be rejected; LAPACK
+        # cannot tell an eigenvalue on a bracket end from one just past it
+        assert ref[0] < -1 + 1e-9 or ref[-1] > 2 * n + 2 - 1e-9
+        return
+    assert roots == pytest.approx(ref.tolist(), abs=1e-9)
 
 
 def test_oracle_tolerance_controls_bisection_width():

@@ -11,6 +11,8 @@ from loopspec import (
     JacobiConvergenceError,
     SOLVER_TOL,
     algebraic_connectivity,
+    bound_rows,
+    connected_components,
     degree_upper_bound,
     eigen_sym,
     fiedler_lower_bound,
@@ -148,6 +150,18 @@ def test_degree_upper_bound_loopless_and_looped():
 def test_even_cycle_attains_degree_bound():
     spec = eigen_sym(laplacian_of(cycle_graph(4)))
     assert spec.eigenvalues == pytest.approx([0.0, 2.0, 2.0, 4.0], abs=1e-10)
+
+
+@given(graphs())
+def test_bound_rows_are_the_bound_checks_of_the_report(g):
+    rows = bound_rows(
+        g, eigen_sym(laplacian_of(g)).eigenvalues, connected_components(g).count == 1
+    )
+    checks = [c for c in verify_all(g).checks if c.id in ("eq2", "eq3", "eq8")]
+    assert [(r["id"], r["margin"]) for r in rows] == [(c.id, c.margin) for c in checks]
+    for r in rows:
+        gap = r["value"] - r["bound"] if r["kind"] == "lower" else r["bound"] - r["value"]
+        assert r["margin"] == gap
 
 
 # --- spectrum matching ---
