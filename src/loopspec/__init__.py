@@ -11,19 +11,15 @@ from .graphs import (
     Edge,
     EdgeListError,
     Graph,
-    add_edge,
     connected_components,
     format_edge_list,
     graph_from_edges,
     is_pseudo_connected,
-    max_degree,
-    new_graph,
     parse_edge_list,
     read_edge_list,
-    strip_self_loops,
     write_edge_list,
 )
-from .laplacian import degree_adjacency, format_matrix, incidence_matrix, laplacian_of
+from .laplacian import format_matrix, laplacian_of
 from .lifting import LiftedGraph, lift
 from .oracle import (
     GenerationError,
@@ -34,7 +30,6 @@ from .oracle import (
     random_graph,
 )
 from .spectral import (
-    CHECK_IDS,
     CheckResult,
     JACOBI_MAX_SWEEPS,
     JacobiConvergenceError,
@@ -44,7 +39,6 @@ from .spectral import (
     Spectrum,
     SubsetMatch,
     VerificationReport,
-    algebraic_connectivity,
     bound_rows,
     degree_upper_bound,
     eigen_sym,
@@ -61,20 +55,14 @@ __all__ = [
     "Edge",
     "EdgeListError",
     "Graph",
-    "add_edge",
     "connected_components",
     "format_edge_list",
     "graph_from_edges",
     "is_pseudo_connected",
-    "max_degree",
-    "new_graph",
     "parse_edge_list",
     "read_edge_list",
-    "strip_self_loops",
     "write_edge_list",
-    "degree_adjacency",
     "format_matrix",
-    "incidence_matrix",
     "laplacian_of",
     "LiftedGraph",
     "lift",
@@ -84,7 +72,6 @@ __all__ = [
     "charpoly_eigenvalues",
     "enumerate_graphs",
     "random_graph",
-    "CHECK_IDS",
     "CheckResult",
     "JACOBI_MAX_SWEEPS",
     "JacobiConvergenceError",
@@ -94,7 +81,6 @@ __all__ = [
     "Spectrum",
     "SubsetMatch",
     "VerificationReport",
-    "algebraic_connectivity",
     "bound_rows",
     "degree_upper_bound",
     "eigen_sym",

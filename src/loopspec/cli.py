@@ -7,7 +7,8 @@ verify (run all spectral checks), generate (seeded random graph), sweep
 Exit codes: 0 success, 1 at least one verification check failed, 2 usage,
 I/O, or computation error. Floats are printed with 9 significant digits so
 output is stable across platforms. The environment variable LOOPSPEC_TOL
-(a decimal string) overrides the default eigenvalue match tolerance.
+(a positive finite decimal string) overrides the default eigenvalue match
+tolerance.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from .graphs import (
     EdgeListError,
     Graph,
+    _pseudo_connected,
     connected_components,
-    is_pseudo_connected,
     read_edge_list,
     write_edge_list,
 )
@@ -106,8 +107,8 @@ def _match_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise ValueError(f"LOOPSPEC_TOL is not a number: {raw!r}") from None
-    if tol <= 0:
-        raise ValueError(f"LOOPSPEC_TOL must be positive, got {raw!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"LOOPSPEC_TOL must be a positive finite number, got {raw!r}")
     return tol
 
 
@@ -123,7 +124,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lap = laplacian_of(g)
     spectrum = eigen_sym(lap)
     parts = connected_components(g)
-    pseudo = is_pseudo_connected(g)
+    pseudo = _pseudo_connected(g, parts)
     loopless = g.loop_count == 0
     algebraic = float(spectrum.eigenvalues[1]) if loopless and g.n >= 2 else None
     bounds = bound_rows(g, spectrum.eigenvalues, parts.count == 1)

@@ -18,13 +18,9 @@ __all__ = [
     "Graph",
     "ComponentPartition",
     "EdgeListError",
-    "new_graph",
-    "add_edge",
     "graph_from_edges",
-    "strip_self_loops",
     "connected_components",
     "is_pseudo_connected",
-    "max_degree",
     "parse_edge_list",
     "format_edge_list",
     "read_edge_list",
@@ -49,8 +45,8 @@ class Graph:
     """Undirected graph on vertices 1..n, self-loops allowed, multi-edges not.
 
     ``edges`` holds canonical pairs only: (i, j) with 1 <= i <= j <= n.
-    Construct through :func:`new_graph` / :func:`add_edge` /
-    :func:`graph_from_edges` unless the pairs are already canonical.
+    Construct through :func:`graph_from_edges` unless the pairs are already
+    canonical.
     """
 
     n: int
@@ -82,16 +78,6 @@ class Graph:
     def loop_count(self) -> int:
         return sum(1 for i, j in self.edges if i == j)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        """Order-insensitive membership test: (i, j) and (j, i) are the same edge."""
-        return (min(i, j), max(i, j)) in self.edges
-
-    def degree(self, v: int) -> int:
-        """Incident non-loop edges plus 1 per self-loop at ``v``."""
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return sum(1 for i, j in self.edges if i == v or j == v)
-
 
 @dataclass(frozen=True)
 class ComponentPartition:
@@ -105,40 +91,23 @@ class ComponentPartition:
     count: int
 
 
-def new_graph(n: int) -> Graph:
-    """Graph with ``n`` vertices and no edges; n must be >= 1."""
-    return Graph(n)
-
-
-def add_edge(g: Graph, i: int, j: int) -> Graph:
-    """Return ``g`` extended by the undirected edge {i, j} (i == j adds a loop).
-
-    Rejects endpoints outside 1..n and duplicates, in either orientation.
-    """
-    if not (1 <= i <= g.n and 1 <= j <= g.n):
-        raise ValueError(f"vertex out of range 1..{g.n}: ({i}, {j})")
+def _add_pair(edges: set[Edge], n: int, i: int, j: int) -> None:
+    """Add {i, j} to ``edges`` in canonical order, rejecting endpoints outside
+    1..n and duplicates in either orientation."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"vertex out of range 1..{n}: ({i}, {j})")
     e = (i, j) if i <= j else (j, i)
-    if e in g.edges:
+    if e in edges:
         raise ValueError(f"duplicate edge {e}")
-    return Graph(g.n, g.edges | {e})
+    edges.add(e)
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from endpoint pairs in any orientation, rejecting duplicates."""
     edges: set[Edge] = set()
     for i, j in pairs:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"vertex out of range 1..{n}: ({i}, {j})")
-        e = (i, j) if i <= j else (j, i)
-        if e in edges:
-            raise ValueError(f"duplicate edge {e}")
-        edges.add(e)
+        _add_pair(edges, n, i, j)
     return Graph(n, frozenset(edges))
-
-
-def strip_self_loops(g: Graph) -> Graph:
-    """Same vertices, all loops removed. Idempotent."""
-    return Graph(g.n, frozenset(e for e in g.edges if e[0] != e[1]))
 
 
 def connected_components(g: Graph) -> ComponentPartition:
@@ -184,14 +153,15 @@ def _pseudo_connected(g: Graph, parts: ComponentPartition) -> bool:
     return all(component_has_loop[1:])
 
 
-def max_degree(g: Graph) -> int:
-    """Maximum vertex degree; a self-loop adds 1 to its vertex. 0 for edgeless graphs."""
+def _max_nonloop_degree(g: Graph) -> int:
+    """d(G°): the maximum vertex degree of ``g`` with its self-loops stripped
+    (0 for a graph without non-loop edges)."""
     deg = [0] * (g.n + 1)
     for i, j in g.edges:
-        deg[i] += 1
         if i != j:
+            deg[i] += 1
             deg[j] += 1
-    return max(deg[1:])
+    return max(deg)
 
 
 # Edge-list text format: header line "n m", then m lines "i j" (i == j for a
@@ -221,12 +191,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListError(f"edge count must be nonnegative, got {b}", lineno)
             n, declared = a, b
             continue
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise EdgeListError(f"vertex out of range 1..{n}: ({a}, {b})", lineno)
-        e = (a, b) if a <= b else (b, a)
-        if e in edges:
-            raise EdgeListError(f"duplicate edge {e}", lineno)
-        edges.add(e)
+        try:
+            _add_pair(edges, n, a, b)
+        except ValueError as exc:
+            raise EdgeListError(str(exc), lineno) from None
     if n is None:
         raise EdgeListError("missing 'n m' header line")
     if len(edges) != declared:

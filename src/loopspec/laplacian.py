@@ -1,8 +1,8 @@
-"""Incidence and Laplacian matrices for graphs with self-loops.
+"""Laplacian matrices for graphs with self-loops.
 
-Matrix row/column k corresponds to vertex k+1. Everything is dense integer
-numpy; the three assembly routes (rank-one sums, E^T E, D - A) agree exactly
-entrywise, which the test suite checks graph by graph.
+Matrix row/column k corresponds to vertex k+1. The Laplacian is dense integer
+numpy, assembled from one rank-one term per edge; it equals E^T E and D - A
+exactly, which the test suite checks against its own builders of E, D and A.
 """
 
 from __future__ import annotations
@@ -11,23 +11,7 @@ import numpy as np
 
 from .graphs import Graph
 
-__all__ = ["incidence_matrix", "laplacian_of", "degree_adjacency", "format_matrix"]
-
-
-def incidence_matrix(g: Graph) -> np.ndarray:
-    """Edge-by-vertex signed incidence matrix, one row per canonical edge.
-
-    A non-loop edge (p, q) with p < q gets +1 at p and -1 at q (fixed sign
-    convention; the Gram matrix is insensitive to per-row sign flips). A
-    self-loop at p gets a single +1 at p.
-    """
-    edges = g.sorted_edges()
-    e = np.zeros((len(edges), g.n), dtype=np.int64)
-    for r, (i, j) in enumerate(edges):
-        e[r, i - 1] = 1
-        if i != j:
-            e[r, j - 1] = -1
-    return e
+__all__ = ["laplacian_of", "format_matrix"]
 
 
 def laplacian_of(g: Graph) -> np.ndarray:
@@ -46,26 +30,6 @@ def laplacian_of(g: Graph) -> np.ndarray:
             lap[i - 1, j - 1] -= 1
             lap[j - 1, i - 1] -= 1
     return lap
-
-
-def degree_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Degree matrix D and adjacency matrix A with D - A equal to the Laplacian.
-
-    A self-loop adds 1 to its vertex's diagonal degree and leaves A[i][i] = 0;
-    that convention is forced by matching E^T E, which puts exactly 1 on the
-    diagonal per loop.
-    """
-    d = np.zeros((g.n, g.n), dtype=np.int64)
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for i, j in g.edges:
-        if i == j:
-            d[i - 1, i - 1] += 1
-        else:
-            d[i - 1, i - 1] += 1
-            d[j - 1, j - 1] += 1
-            a[i - 1, j - 1] = 1
-            a[j - 1, i - 1] = 1
-    return d, a
 
 
 def format_matrix(m: np.ndarray) -> str:

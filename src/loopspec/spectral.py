@@ -17,8 +17,8 @@ Check identifiers used in reports (fixed wire format):
 * ``lemma1``     -- pseudo-connected graphs have positive definite Laplacians
 * ``eq6``        -- the base spectrum embeds in the lifted spectrum and stays
                     inside [0, 2 d(stripped) + 1]
-* ``eq7``        -- for pseudo-connected graphs the matched lifted eigenvalues
-                    are strictly positive
+* ``eq7``        -- for pseudo-connected graphs the lifted eigenvalues nearest
+                    the base eigenvalues are strictly positive
 * ``lift-eigvec`` -- mirroring a base eigenvector as [v; 0; -v] gives a lifted
                     eigenvector with the same eigenvalue
 """
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _pseudo_connected, connected_components, max_degree, strip_self_loops
+from .graphs import Graph, _max_nonloop_degree, _pseudo_connected, connected_components
 from .laplacian import laplacian_of
 from .lifting import lift
 
@@ -40,14 +40,12 @@ __all__ = [
     "MATCH_TOL",
     "POSITIVITY_TOL",
     "JACOBI_MAX_SWEEPS",
-    "CHECK_IDS",
     "JacobiConvergenceError",
     "Spectrum",
     "SubsetMatch",
     "CheckResult",
     "VerificationReport",
     "eigen_sym",
-    "algebraic_connectivity",
     "fiedler_lower_bound",
     "degree_upper_bound",
     "bound_rows",
@@ -59,8 +57,6 @@ SOLVER_TOL = 1e-12      # relative off-diagonal stopping threshold
 MATCH_TOL = 1e-8        # absolute eigenvalue match tolerance, scaled by max(1, rho)
 POSITIVITY_TOL = 1e-8   # positive-definiteness threshold, scaled by max(1, rho)
 JACOBI_MAX_SWEEPS = 50
-
-CHECK_IDS = ("eq2", "eq3", "eq8", "lemma1", "eq6", "eq7", "lift-eigvec")
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -80,10 +76,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual: float
-
-    @property
-    def order(self) -> int:
-        return int(self.eigenvalues.size)
 
     @property
     def spectral_radius(self) -> float:
@@ -167,15 +159,6 @@ def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
     return Spectrum(values, vectors, residual)
 
 
-def algebraic_connectivity(g: Graph, tol: float = SOLVER_TOL) -> float:
-    """Second-smallest Laplacian eigenvalue of a loopless graph."""
-    if g.n < 2:
-        raise ValueError("algebraic connectivity needs at least 2 vertices")
-    if g.loop_count:
-        raise ValueError("algebraic connectivity is defined for loopless graphs")
-    return float(eigen_sym(laplacian_of(g), tol).eigenvalues[1])
-
-
 def fiedler_lower_bound(n: int) -> float:
     """Lower bound 2(1 - cos(pi/n)) on the algebraic connectivity of a
     connected loopless graph with n vertices; attained by path graphs."""
@@ -187,12 +170,11 @@ def fiedler_lower_bound(n: int) -> float:
 def degree_upper_bound(g: Graph) -> float:
     """Upper bound on the largest Laplacian eigenvalue.
 
-    Loopless graphs: 2 * max degree. With loops: 2 * max degree of the
-    loop-stripped graph + 1.
+    2 d(G°) for a loopless graph and 2 d(G°) + 1 with loops, where d(G°) is
+    the maximum degree of the loop-stripped graph (for a loopless graph, its
+    own maximum degree).
     """
-    if g.loop_count:
-        return 2.0 * max_degree(strip_self_loops(g)) + 1.0
-    return 2.0 * max_degree(g)
+    return 2.0 * _max_nonloop_degree(g) + (1.0 if g.loop_count else 0.0)
 
 
 def bound_rows(g: Graph, eigenvalues: np.ndarray, connected: bool) -> list[dict]:
@@ -368,21 +350,20 @@ def verify_all(
         checks.append(CheckResult("lemma1", margin > 0.0, margin))
 
     match = spectrum_subset(spec, spec_lift, tol_lift)
-    # eq6's interval [0, 2 d(stripped) + 1] is eq8's degree bound; a loopless
-    # graph is its own stripped graph, so there it is eq3's bound plus one
-    interval_bound = rows[-1]["bound"] + (1.0 if g.loop_count == 0 else 0.0)
+    interval_bound = 2.0 * _max_nonloop_degree(g) + 1.0
     match_margin = (tol_lift - match.worst_gap) if match.ok else (tol_lift - match.unmatched_gap)
     margin6 = min(match_margin, interval_bound + tol_lift - lam_max)
     checks.append(CheckResult("eq6", match.ok and margin6 >= 0.0, margin6))
 
     if pseudo:
-        if match.ok:
-            matched_min = min(float(spec_lift.eigenvalues[j]) for _, j in match.pairs)
-            margin = matched_min - pos_lift
-            checks.append(CheckResult("eq7", margin > 0.0, margin))
-        else:
-            # cannot certify positivity of an incomplete matching
-            checks.append(CheckResult("eq7", False, -math.inf))
+        # Nearest-neighbour lookup into a sorted spectrum is monotone, so the
+        # smallest lifted eigenvalue nearest to any base eigenvalue is the one
+        # nearest to the smallest base eigenvalue.
+        lam_min = spec.eigenvalues[0]
+        k = int(np.searchsorted(spec_lift.eigenvalues, lam_min))
+        near = spec_lift.eigenvalues[max(k - 1, 0) : k + 1]
+        margin = float(near[np.argmin(np.abs(near - lam_min))]) - pos_lift
+        checks.append(CheckResult("eq7", margin > 0.0, margin))
 
     # [v; 0; -v] built from each base eigenvector, normalized, against the
     # lifted Laplacian.

@@ -1,8 +1,10 @@
-"""Shared graph builders and hypothesis strategies for the test suite."""
+"""Shared graph builders, matrix oracles and hypothesis strategies for the
+test suite."""
 
+import numpy as np
 from hypothesis import strategies as st
 
-from loopspec import Graph, add_edge, graph_from_edges
+from loopspec import Graph, graph_from_edges
 
 
 def path_graph(n: int) -> Graph:
@@ -27,11 +29,45 @@ def star_graph(n: int) -> Graph:
 
 
 def with_all_loops(g: Graph) -> Graph:
-    out = g
-    for v in range(1, g.n + 1):
-        if not g.has_edge(v, v):
-            out = add_edge(out, v, v)
-    return out
+    return Graph(g.n, g.edges | {(v, v) for v in range(1, g.n + 1)})
+
+
+def incidence_matrix(g: Graph) -> np.ndarray:
+    """Edge-by-vertex signed incidence matrix E, one row per canonical edge.
+
+    A non-loop edge (p, q) with p < q gets +1 at p and -1 at q (the Gram
+    matrix E^T E is insensitive to per-row sign flips). A self-loop at p gets
+    a single +1 at p.
+    """
+    edges = g.sorted_edges()
+    e = np.zeros((len(edges), g.n), dtype=np.int64)
+    for r, (i, j) in enumerate(edges):
+        e[r, i - 1] = 1
+        if i != j:
+            e[r, j - 1] = -1
+    return e
+
+
+def degree_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Degree matrix D and adjacency matrix A with D - A equal to the Laplacian.
+
+    A self-loop adds 1 to its vertex's diagonal degree and leaves A[i][i] = 0;
+    that convention is forced by matching E^T E, which puts exactly 1 on the
+    diagonal per loop.
+    """
+    d = np.zeros((g.n, g.n), dtype=np.int64)
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    for i, j in g.edges:
+        d[i - 1, i - 1] += 1
+        if i != j:
+            d[j - 1, j - 1] += 1
+            a[i - 1, j - 1] = a[j - 1, i - 1] = 1
+    return d, a
+
+
+def degree(g: Graph, v: int) -> int:
+    """Incident non-loop edges plus 1 per self-loop at ``v``."""
+    return sum(1 for e in g.edges if v in e)
 
 
 @st.composite

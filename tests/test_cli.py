@@ -138,18 +138,18 @@ def test_loopspec_tol_env_failure_path(worked_file, capsys, monkeypatch):
     doc = json.loads(out, parse_constant=_reject_constant)
     failed = [c["id"] for c in doc["checks"] if not c["pass"]]
     assert "eq6" in failed
-    # eq7 cannot be certified without a complete eq6 matching: no margin
-    assert {"id": "eq7", "pass": False, "margin": None} in doc["checks"]
+    # eq7 is decided from the lifted spectrum on its own: the lifted
+    # eigenvalue nearest the smallest base eigenvalue is still positive
+    (eq7,) = [c for c in doc["checks"] if c["id"] == "eq7"]
+    assert eq7["pass"] and eq7["margin"] > 0
 
 
 def test_loopspec_tol_env_must_be_a_positive_number(worked_file, capsys, monkeypatch):
-    monkeypatch.setenv("LOOPSPEC_TOL", "banana")
-    code, _, err = run_cli(capsys, "verify", worked_file)
-    assert code == 2
-    assert "LOOPSPEC_TOL" in err
-    monkeypatch.setenv("LOOPSPEC_TOL", "-1e-8")
-    code, _, err = run_cli(capsys, "verify", worked_file)
-    assert code == 2
+    for raw in ("banana", "-1e-8", "0", "nan", "inf"):
+        monkeypatch.setenv("LOOPSPEC_TOL", raw)
+        code, _, err = run_cli(capsys, "verify", worked_file)
+        assert code == 2, raw
+        assert "LOOPSPEC_TOL" in err
 
 
 def test_generate_is_deterministic(tmp_path, capsys):

