@@ -5,10 +5,10 @@ verify (run all spectral checks), generate (seeded random graph), sweep
 (verification campaigns, exhaustive or randomized).
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 usage,
-I/O, or computation error. Floats are printed with 9 significant digits so
-output is stable across platforms. The environment variable LOOPSPEC_TOL
-(a positive finite decimal string) overrides the default eigenvalue match
-tolerance.
+I/O, allocation or computation error. Floats are printed with 9
+significant digits so output is stable across platforms. The environment
+variable LOOPSPEC_TOL (a positive finite decimal string) overrides the
+default eigenvalue match tolerance.
 """
 
 from __future__ import annotations
@@ -340,7 +340,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EdgeListError, OSError, ValueError, GenerationError, JacobiConvergenceError) as exc:
+    except (EdgeListError, OSError, ValueError, MemoryError,
+            GenerationError, JacobiConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 

@@ -25,6 +25,7 @@ Check identifiers used in reports (fixed wire format):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -82,12 +83,6 @@ class Spectrum:
         return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
 def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -97,6 +92,10 @@ def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
     of the input (floored at machine-epsilon scale). Failure to converge
     within the sweep cap raises :class:`JacobiConvergenceError` rather than
     returning a partial answer.
+
+    The working matrix stays exactly symmetric: each rotation updates rows p
+    and q, mirrors them into columns p and q, and sets the 2x2 block in
+    closed form. So the off-diagonal norm is read from the upper triangle.
 
     Raises ``ValueError`` for non-square or (exactly) non-symmetric input and
     for ``tol <= 0``.
@@ -118,38 +117,32 @@ def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
         # Pairs below `skip` contribute at most threshold^2/8 to the squared
         # off-norm in total, so skipping them cannot stall the stopping test.
         skip = threshold / (2.0 * n)
+        upper = np.triu_indices(n, 1)
         sweeps = 0
-        while _offdiag_norm(a) > threshold:
+        while (off := math.sqrt(2.0) * float(np.linalg.norm(a[upper]))) > threshold:
             if sweeps >= JACOBI_MAX_SWEEPS:
                 raise JacobiConvergenceError(
                     f"no convergence after {JACOBI_MAX_SWEEPS} sweeps "
-                    f"(off-diagonal norm {_offdiag_norm(a):.3e}, threshold {threshold:.3e})"
+                    f"(off-diagonal norm {off:.3e}, threshold {threshold:.3e})"
                 )
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    rp = a[p, :].copy()
-                    rq = a[q, :].copy()
-                    a[p, :] = c * rp - s * rq
-                    a[q, :] = s * rp + c * rq
-                    cp = a[:, p].copy()
-                    cq = a[:, q].copy()
-                    a[:, p] = c * cp - s * cq
-                    a[:, q] = s * cp + c * cq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
+            for p, q in itertools.combinations(range(n), 2):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                app, aqq = a[p, p], a[q, q]
+                theta = (aqq - app) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                # Both right sides are built before either row is written.
+                for x in (a, v.T):
+                    xp, xq = x[p], x[q]
+                    x[p], x[q] = c * xp - s * xq, s * xp + c * xq
+                a[:, p], a[:, q] = a[p], a[q]
+                a[p, p], a[q, q] = app - t * apq, aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
             sweeps += 1
     order = np.argsort(np.diagonal(a), kind="stable")
     values = np.diagonal(a)[order].copy()

@@ -79,6 +79,16 @@ def test_missing_file_is_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_unallocatable_order_is_exit_2(tmp_path, capsys, command):
+    # A dense order-1e9 matrix needs 6.94 EiB, which no allocator grants.
+    path = tmp_path / "huge.el"
+    path.write_text("1000000000 0\n")
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_lift_writes_five_path(worked_file, tmp_path, capsys):
     out_path = tmp_path / "lifted.el"
     code, out, _ = run_cli(capsys, "lift", worked_file, str(out_path))

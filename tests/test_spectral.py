@@ -79,12 +79,11 @@ def test_sweep_cap_is_enforced(monkeypatch):
         eigen_sym(laplacian_of(path_graph(3)))
 
 
+# Orders up to 25, the largest lifted order criterion 3 solves (N = 12).
 @settings(deadline=None)
 @given(
-    arrays(
-        np.int64,
-        (5, 5),
-        elements=st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=1, max_value=25).flatmap(
+        lambda n: arrays(np.int64, (n, n), elements=st.integers(min_value=-9, max_value=9))
     )
 )
 def test_matches_numpy_on_random_symmetric_matrices(raw):
