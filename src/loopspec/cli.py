@@ -43,7 +43,6 @@ from .oracle import (
 from .spectral import (
     JacobiConvergenceError,
     MATCH_TOL,
-    VerificationReport,
     bound_rows,
     eigen_sym,
     verify_all,
@@ -61,8 +60,9 @@ class SweepResult:
     """Outcome of a verification campaign.
 
     ``failures`` holds one record per failing graph with enough detail to
-    reproduce it (enumeration index or generator seed) plus the failed check
-    ids and their margins. ``passed + len(failures) == total`` always.
+    reproduce it (enumeration index or generator seed) plus either the failed
+    check ids and their margins or, when the solver did not converge, the
+    ``error`` message. ``passed + len(failures) == total`` always.
     """
 
     mode: str
@@ -209,12 +209,22 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _failure_record(report: VerificationReport, **origin) -> dict:
+def _verify_one(g: Graph, match_tol: float, **origin) -> dict | None:
+    """Verify ``g``; None if it passes, else a record that leads with its
+    witness ``origin``. A solver that does not converge fails this graph
+    only, so the campaign goes on."""
+    try:
+        report = verify_all(g, match_tol=match_tol)
+    except JacobiConvergenceError as exc:
+        return {**origin, "error": str(exc)}
+    if report.passed:
+        return None
     failed = report.failed_checks()
-    record = dict(origin)
-    record["failed_checks"] = [c.id for c in failed]
-    record["margins"] = {c.id: c.margin for c in failed}
-    return record
+    return {
+        **origin,
+        "failed_checks": [c.id for c in failed],
+        "margins": {c.id: c.margin for c in failed},
+    }
 
 
 def run_sweep(
@@ -234,41 +244,36 @@ def run_sweep(
     seeds are derived from ``seed`` up front, so any failure is reproducible
     from its record alone without replaying the whole sweep.
 
-    Raises ``ValueError`` before verifying anything when an exhaustive sweep
-    asks for more than ``MAX_ENUM_VERTICES`` vertices.
+    A graph whose eigensolve does not converge is recorded as a failure with
+    an ``error`` message instead of aborting the sweep. Raises
+    ``ValueError`` before verifying anything when an exhaustive sweep asks
+    for more than ``MAX_ENUM_VERTICES`` vertices.
     """
     if mode == "exhaustive" and n_max > MAX_ENUM_VERTICES:
         raise ValueError(
             f"exhaustive sweeps are capped at n-max {MAX_ENUM_VERTICES}, got {n_max}"
         )
-    failures: list[dict] = []
-    total = 0
+    records: list[dict | None] = []
     if mode == "exhaustive":
         for n in range(1, n_max + 1):
             for index, g in enumerate(enumerate_graphs(n)):
-                total += 1
-                report = verify_all(g, match_tol=match_tol)
-                if not report.passed:
-                    failures.append(_failure_record(report, n=n, index=index))
+                records.append(_verify_one(g, match_tol, n=n, index=index))
     else:
         root = np.random.default_rng(seed)
         child_seeds = root.integers(0, 2**63, size=samples, dtype=np.uint64)
         sizes = root.integers(n_min, n_max + 1, size=samples)
         for i in range(samples):
-            total += 1
             cfg = GeneratorConfig(
                 n=int(sizes[i]),
                 p_edge=p_edge,
                 p_loop=p_loop,
                 seed=int(child_seeds[i]),
             )
-            g = random_graph(cfg)
-            report = verify_all(g, match_tol=match_tol)
-            if not report.passed:
-                failures.append(
-                    _failure_record(report, sample=i, config=cfg.to_json_dict())
-                )
-    return SweepResult(mode, total, total - len(failures), tuple(failures))
+            records.append(
+                _verify_one(random_graph(cfg), match_tol, sample=i, config=cfg.to_json_dict())
+            )
+    failures = tuple(r for r in records if r is not None)
+    return SweepResult(mode, len(records), len(records) - len(failures), failures)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

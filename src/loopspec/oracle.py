@@ -13,6 +13,8 @@ a real cross-check and not a tautology.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator
@@ -103,14 +105,18 @@ def random_graph(cfg: GeneratorConfig) -> Graph:
     with the config embedded for reproduction.
     """
     rng = np.random.default_rng(cfg.seed)
-    pairs = [(i, j) for i in range(1, cfg.n + 1) for j in range(i + 1, cfg.n + 1)]
+    # One draw per vertex pair i < j, in row-major order. Row i holds the
+    # pairs (i, i + 1) .. (i, n) from index starts[i - 1] on, so the pair at
+    # index k is in row bisect_right(starts, k).
+    starts = list(itertools.accumulate(range(cfg.n - 1, 0, -1), initial=0))
     for _ in range(RETRY_CAP):
-        pair_draws = rng.random(len(pairs))
-        loop_draws = rng.random(cfg.n)
-        edges: list[tuple[int, int]] = [
-            pair for pair, u in zip(pairs, pair_draws) if u < cfg.p_edge
-        ]
-        edges.extend((v, v) for v in range(1, cfg.n + 1) if loop_draws[v - 1] < cfg.p_loop)
+        hits = np.flatnonzero(rng.random(starts[-1]) < cfg.p_edge).tolist()
+        loop_draws = rng.random(cfg.n).tolist()
+        edges: list[tuple[int, int]] = []
+        for k in hits:
+            i = bisect.bisect_right(starts, k)
+            edges.append((i, k - starts[i - 1] + i + 1))
+        edges.extend((v, v) for v, u in enumerate(loop_draws, 1) if u < cfg.p_loop)
         g = graph_from_edges(cfg.n, edges)
         if _meets(g, cfg.require):
             return g

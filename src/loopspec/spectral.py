@@ -72,11 +72,17 @@ class Spectrum:
 
     ``eigenvalues`` are ascending; column j of ``eigenvectors`` pairs with
     eigenvalue j. ``residual`` is the max over eigenpairs of ||M v - t v||.
+    ``sweeps`` and ``rotations`` count the Jacobi sweeps run and the
+    rotations applied (skipped pairs do not count); ``off_norm`` is the
+    off-diagonal Frobenius norm the solver stopped at.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual: float
+    sweeps: int
+    rotations: int
+    off_norm: float
 
     @property
     def spectral_radius(self) -> float:
@@ -93,9 +99,13 @@ def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
     within the sweep cap raises :class:`JacobiConvergenceError` rather than
     returning a partial answer.
 
-    The working matrix stays exactly symmetric: each rotation updates rows p
-    and q, mirrors them into columns p and q, and sets the 2x2 block in
-    closed form. So the off-diagonal norm is read from the upper triangle.
+    The working matrix ``a`` and the transposed eigenvector accumulator
+    ``v^T`` share one n x 2n array ``w = [a | v^T]``, so one elementwise
+    update of rows p and q of ``w`` rotates the rows of ``a`` and the columns
+    of ``v`` together. Rows p and q of ``a`` are then mirrored into its
+    columns p and q and the 2x2 block is set in closed form, so ``a`` stays
+    exactly symmetric and the off-diagonal norm is read from its upper
+    triangle.
 
     Raises ``ValueError`` for non-square or (exactly) non-symmetric input and
     for ``tol <= 0``.
@@ -109,27 +119,28 @@ def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
         raise ValueError("matrix is not symmetric")
     m = raw.astype(np.float64)
     n = m.shape[0]
-    a = m.copy()
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a))
+    w = np.concatenate((m, np.eye(n)), axis=1)  # [a | v^T]; its diagonal is a's
+    fro = float(np.linalg.norm(m))
+    sweeps, rotations, off = 0, 0, 0.0
     if fro > 0.0 and n > 1:
         threshold = max(tol, _EPS) * fro
         # Pairs below `skip` contribute at most threshold^2/8 to the squared
         # off-norm in total, so skipping them cannot stall the stopping test.
         skip = threshold / (2.0 * n)
         upper = np.triu_indices(n, 1)
-        sweeps = 0
-        while (off := math.sqrt(2.0) * float(np.linalg.norm(a[upper]))) > threshold:
+        rows, cols = list(w), [w[:, j] for j in range(n)]
+        while (off := math.sqrt(2.0) * float(np.linalg.norm(w[upper]))) > threshold:
             if sweeps >= JACOBI_MAX_SWEEPS:
                 raise JacobiConvergenceError(
                     f"no convergence after {JACOBI_MAX_SWEEPS} sweeps "
                     f"(off-diagonal norm {off:.3e}, threshold {threshold:.3e})"
                 )
             for p, q in itertools.combinations(range(n), 2):
-                apq = a[p, q]
+                wp, wq = rows[p], rows[q]
+                apq = wp.item(q)
                 if abs(apq) <= skip:
                     continue
-                app, aqq = a[p, p], a[q, q]
+                app, aqq = wp.item(p), wq.item(q)
                 theta = (aqq - app) / (2.0 * apq)
                 t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 if theta < 0.0:
@@ -137,19 +148,18 @@ def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
                 # Both right sides are built before either row is written.
-                for x in (a, v.T):
-                    xp, xq = x[p], x[q]
-                    x[p], x[q] = c * xp - s * xq, s * xp + c * xq
-                a[:, p], a[:, q] = a[p], a[q]
-                a[p, p], a[q, q] = app - t * apq, aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
+                wp[:], wq[:] = c * wp - s * wq, s * wp + c * wq
+                cols[p][:], cols[q][:] = wp[:n], wq[:n]
+                wp[p], wq[q] = app - t * apq, aqq + t * apq
+                wp[q] = wq[p] = 0.0
+                rotations += 1
             sweeps += 1
-    order = np.argsort(np.diagonal(a), kind="stable")
-    values = np.diagonal(a)[order].copy()
-    vectors = v[:, order]
+    order = np.argsort(np.diagonal(w), kind="stable")
+    values = np.diagonal(w)[order].copy()
+    vectors = w[order, n:].T
     res = m @ vectors - vectors * values
     residual = float(np.sqrt((res * res).sum(axis=0)).max())
-    return Spectrum(values, vectors, residual)
+    return Spectrum(values, vectors, residual, sweeps, rotations, off)
 
 
 def fiedler_lower_bound(n: int) -> float:

@@ -1,10 +1,13 @@
 """Shared graph builders, matrix oracles and hypothesis strategies for the
 test suite."""
 
+import itertools
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
-from loopspec import Graph, graph_from_edges
+from loopspec import SOLVER_TOL, Graph, graph_from_edges
 
 
 def path_graph(n: int) -> Graph:
@@ -63,6 +66,49 @@ def degree_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
             d[j - 1, j - 1] += 1
             a[i - 1, j - 1] = a[j - 1, i - 1] = 1
     return d, a
+
+
+def reference_jacobi(m: np.ndarray, tol: float = SOLVER_TOL):
+    """Frozen copy of the cyclic Jacobi kernel that ``eigen_sym`` must
+    reproduce bit for bit: separate ``a`` and ``v``, the rows of ``a`` and the
+    columns of ``v`` rotated by one elementwise rule, rows mirrored into
+    columns, the 2x2 block set in closed form.
+
+    Returns (eigenvalues, eigenvectors, residual). Input validation and the
+    sweep cap are left out; callers pass symmetric matrices that converge.
+    """
+    m = np.asarray(m).astype(np.float64)
+    n = m.shape[0]
+    a = m.copy()
+    v = np.eye(n)
+    fro = float(np.linalg.norm(a))
+    if fro > 0.0 and n > 1:
+        threshold = max(tol, float(np.finfo(np.float64).eps)) * fro
+        skip = threshold / (2.0 * n)
+        upper = np.triu_indices(n, 1)
+        while math.sqrt(2.0) * float(np.linalg.norm(a[upper])) > threshold:
+            for p, q in itertools.combinations(range(n), 2):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                app, aqq = a[p, p], a[q, q]
+                theta = (aqq - app) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for x in (a, v.T):
+                    xp, xq = x[p], x[q]
+                    x[p], x[q] = c * xp - s * xq, s * xp + c * xq
+                a[:, p], a[:, q] = a[p], a[q]
+                a[p, p], a[q, q] = app - t * apq, aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+    order = np.argsort(np.diagonal(a), kind="stable")
+    values = np.diagonal(a)[order].copy()
+    vectors = v[:, order]
+    res = m @ vectors - vectors * values
+    return values, vectors, float(np.sqrt((res * res).sum(axis=0)).max())
 
 
 def degree(g: Graph, v: int) -> int:

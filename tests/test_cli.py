@@ -4,7 +4,15 @@ import sys
 
 import pytest
 
-from loopspec import cli, read_edge_list, verify_all
+import loopspec.spectral as spectral
+from loopspec import (
+    GeneratorConfig,
+    cli,
+    enumerate_graphs,
+    random_graph,
+    read_edge_list,
+    verify_all,
+)
 from loopspec.cli import main, run_sweep
 from loopspec.oracle import MAX_ENUM_VERTICES
 
@@ -282,6 +290,27 @@ def test_sweep_bad_range(capsys):
     )
     assert code == 2
     assert "n-min" in err
+
+
+def test_sweep_records_solver_errors_and_goes_on(monkeypatch):
+    # With no sweeps allowed, only graphs without edges (whose Laplacian and
+    # lifted Laplacian are already diagonal) get through the solver.
+    monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 0)
+    exhaustive = run_sweep("exhaustive", n_max=2)
+    assert (exhaustive.total, exhaustive.passed) == (2 + 8, 2)
+    errored = {(f["n"], f["index"]) for f in exhaustive.failures}
+    assert errored == {(1, 1)} | {(2, i) for i in range(1, 8)}
+    for f in exhaustive.failures:
+        assert list(enumerate_graphs(f["n"]))[f["index"]].edges
+        assert "0 sweeps" in f["error"] and "failed_checks" not in f
+
+    sampled = run_sweep("random", n_max=4, samples=8, seed=5)
+    assert sampled.total == 8 and sampled.failures
+    assert sampled.passed + len(sampled.failures) == sampled.total
+    for f in sampled.failures:
+        assert random_graph(GeneratorConfig(**f["config"])).edges
+        assert "0 sweeps" in f["error"]
+    json.dumps(sampled.to_json_dict(), allow_nan=False)
 
 
 def test_run_sweep_is_deterministic():

@@ -18,6 +18,7 @@ from loopspec import (
     random_graph,
 )
 from loopspec.graphs import connected_components
+from loopspec.oracle import RETRY_CAP, _meets
 from builders import cycle_graph
 
 
@@ -71,6 +72,41 @@ def test_probability_one_gives_complete_with_all_loops():
 def test_probability_zero_gives_edgeless():
     g = random_graph(GeneratorConfig(n=4, p_edge=0.0, p_loop=0.0, seed=5))
     assert g.edges == frozenset()
+
+
+def list_random_graph(cfg):
+    """The generator as first written, on a Python list of vertex pairs;
+    returns the graph and the number of draws it took."""
+    rng = np.random.default_rng(cfg.seed)
+    pairs = [(i, j) for i in range(1, cfg.n + 1) for j in range(i + 1, cfg.n + 1)]
+    for attempt in range(1, RETRY_CAP + 1):
+        pair_draws = rng.random(len(pairs))
+        loop_draws = rng.random(cfg.n)
+        edges = [pair for pair, u in zip(pairs, pair_draws) if u < cfg.p_edge]
+        edges.extend((v, v) for v in range(1, cfg.n + 1) if loop_draws[v - 1] < cfg.p_loop)
+        g = graph_from_edges(cfg.n, edges)
+        if _meets(g, cfg.require):
+            return g, attempt
+    raise AssertionError("retry cap reached")
+
+
+def test_seeded_graphs_match_the_list_based_generator():
+    attempts = []
+    for cfg in [
+        GeneratorConfig(n=1, p_edge=0.5, p_loop=0.5, seed=0),
+        GeneratorConfig(n=8, p_edge=0.4, p_loop=0.3, seed=1234),
+        GeneratorConfig(n=60, p_edge=0.05, p_loop=0.1, seed=2**64 - 1),
+        GeneratorConfig(n=300, p_edge=0.01, p_loop=0.0, seed=99),
+        GeneratorConfig(n=6, p_edge=0.3, p_loop=0.2, seed=8, require="connected"),
+        *(
+            GeneratorConfig(n=12, p_edge=0.1, p_loop=0.1, seed=s, require="pseudo_connected")
+            for s in range(5)
+        ),
+    ]:
+        expected, tries = list_random_graph(cfg)
+        assert random_graph(cfg) == expected
+        attempts.append(tries)
+    assert max(attempts) > 1  # the rejection retries draw the same stream
 
 
 def test_unsatisfiable_constraint_raises_with_seed_in_message():

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import loopspec.spectral as spectral
 from loopspec import (
+    GeneratorConfig,
     Graph,
     JacobiConvergenceError,
     SOLVER_TOL,
@@ -15,13 +16,16 @@ from loopspec import (
     connected_components,
     degree_upper_bound,
     eigen_sym,
+    enumerate_graphs,
     fiedler_lower_bound,
     graph_from_edges,
     laplacian_of,
+    lift,
+    random_graph,
     spectrum_subset,
     verify_all,
 )
-from builders import cycle_graph, graphs, path_graph, with_all_loops
+from builders import cycle_graph, graphs, path_graph, reference_jacobi, with_all_loops
 
 GOLDEN_RATIO_PAIR = ((3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2)
 
@@ -31,14 +35,27 @@ GOLDEN_RATIO_PAIR = ((3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2)
 
 def test_worked_example_spectrum():
     g = graph_from_edges(2, [(1, 1), (1, 2)])
-    spec = eigen_sym(laplacian_of(g))
+    lap = laplacian_of(g)
+    spec = eigen_sym(lap)
     assert spec.eigenvalues == pytest.approx(GOLDEN_RATIO_PAIR, abs=1e-10)
+    assert spec.sweeps >= 1 and spec.rotations >= 1
+    assert spec.off_norm <= SOLVER_TOL * np.linalg.norm(lap)
 
 
 def test_diagonal_matrix_is_returned_sorted():
     spec = eigen_sym(np.diag([5.0, -1.0, 2.0]))
     assert spec.eigenvalues.tolist() == [-1.0, 2.0, 5.0]
     assert spec.residual == 0.0
+    assert (spec.sweeps, spec.rotations, spec.off_norm) == (0, 0, 0.0)
+
+
+def test_one_rotation_diagonalizes_a_two_by_two():
+    spec = eigen_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert spec.eigenvalues.tolist() == [1.0, 3.0]
+    assert (spec.sweeps, spec.rotations, spec.off_norm) == (1, 1, 0.0)
+    # the pairs with the isolated third row are skipped, not counted
+    padded = eigen_sym(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]))
+    assert (padded.sweeps, padded.rotations, padded.off_norm) == (1, 1, 0.0)
 
 
 def test_three_path_spectrum():
@@ -77,6 +94,31 @@ def test_sweep_cap_is_enforced(monkeypatch):
     monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(JacobiConvergenceError, match="0 sweeps"):
         eigen_sym(laplacian_of(path_graph(3)))
+
+
+def _assert_bitwise_reference(m):
+    spec = eigen_sym(m)
+    values, vectors, residual = reference_jacobi(m)
+    assert np.array_equal(spec.eigenvalues, values)
+    assert np.array_equal(spec.eigenvectors, vectors)
+    assert spec.residual == residual
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bitwise_equal_to_reference_kernel_on_all_small_graphs(n):
+    # every graph with n <= 4 (1098 in all) and its lift
+    for g in enumerate_graphs(n):
+        _assert_bitwise_reference(laplacian_of(g))
+        _assert_bitwise_reference(laplacian_of(lift(g).lifted))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_bitwise_equal_to_reference_kernel_on_random_graphs(n):
+    # criterion 3's orders; the lifts reach order 25
+    for seed in range(3):
+        g = random_graph(GeneratorConfig(n, 0.4, 0.3, 1000 * n + seed))
+        _assert_bitwise_reference(laplacian_of(g))
+        _assert_bitwise_reference(laplacian_of(lift(g).lifted))
 
 
 # Orders up to 25, the largest lifted order criterion 3 solves (N = 12).
