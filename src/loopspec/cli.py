@@ -5,7 +5,8 @@ verify (run all spectral checks), generate (seeded random graph), sweep
 (verification campaigns, exhaustive or randomized).
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 usage,
-I/O, allocation or computation error. Floats are printed with 9
+I/O, allocation or computation error, or a dense order above
+MAX_DENSE_ORDER. Floats are printed with 9
 significant digits so output is stable across platforms. The environment
 variable LOOPSPEC_TOL (a positive finite decimal string) overrides the
 default eigenvalue match tolerance.
@@ -48,7 +49,11 @@ from .spectral import (
     verify_all,
 )
 
-__all__ = ["SweepResult", "main", "run_sweep"]
+__all__ = ["MAX_DENSE_ORDER", "SweepResult", "main", "run_sweep"]
+
+# Largest dense matrix order analyze (order n) and verify (order 2n+1) build;
+# one float64 matrix of this order takes 128 MiB.
+MAX_DENSE_ORDER = 4096
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -119,8 +124,18 @@ def _load(path: str) -> Graph:
         raise EdgeListError(f"{path}: {exc}") from exc
 
 
+def _check_dense_order(path: str, order: int) -> None:
+    """Refuse, before anything dense is allocated, an input whose dense
+    matrices would have an order above ``MAX_DENSE_ORDER``."""
+    if order > MAX_DENSE_ORDER:
+        raise ValueError(
+            f"{path}: dense order {order} exceeds MAX_DENSE_ORDER {MAX_DENSE_ORDER}"
+        )
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load(args.path)
+    _check_dense_order(args.path, g.n)
     lap = laplacian_of(g)
     spectrum = eigen_sym(lap)
     parts = connected_components(g)
@@ -182,6 +197,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load(args.path)
+    _check_dense_order(args.path, 2 * g.n + 1)
     report = verify_all(g, match_tol=_match_tol())
     _print_json(report.to_json_dict())
     return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED

@@ -7,6 +7,15 @@ positivity test for pseudo-connected Laplacians, the lifted-spectrum
 inclusion check, and ``verify_all``, which runs every claim applicable to a
 graph and returns a structured report.
 
+The lifted Laplacian is never solved whole. Swapping the two vertex copies of
+the lift commutes with it, so it splits into two blocks and
+spec(lift) = spec(L(G)) U spec(S): the antisymmetric block, on vectors
+[x; 0; -x], is L(G) itself, and the symmetric block S has order N+1.
+``verify_all`` checks that split exactly in integers, solves S, assembles
+the full lifted basis from both blocks and certifies it against the lifted
+Laplacian with Kahan's residual theorem. eq6's margin is the lifted
+tolerance minus that certified gap (or the interval slack, if smaller).
+
 Check identifiers used in reports (fixed wire format):
 
 * ``eq2``        -- algebraic connectivity of a connected loopless graph is
@@ -310,6 +319,44 @@ class VerificationReport:
         }
 
 
+def _mirror_certificate(lap_lift: np.ndarray, lap: np.ndarray) -> bool:
+    """Exact integer test of the mirror split of a lifted Laplacian.
+
+    Swapping the two vertex copies (and fixing the middle vertex) must leave
+    ``lap_lift`` unchanged, and its antisymmetric block, the top-left block
+    minus the top-right one, must be the base Laplacian ``lap``.
+    """
+    n = lap.shape[0]
+    perm = np.r_[n + 1 : 2 * n + 1, n, :n]
+    return bool(
+        np.array_equal(lap_lift[np.ix_(perm, perm)], lap_lift)
+        and np.array_equal(lap_lift[:n, :n] - lap_lift[:n, n + 1 :], lap)
+    )
+
+
+def _lifted_ritz(
+    lap_lift: np.ndarray, spec: Spectrum, solver_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values and the square Ritz basis X of a lifted Laplacian from
+    its mirror split (block form in :mod:`loopspec.lifting`).
+
+    Each base eigenvector v in ``spec`` gives the column [v; 0; -v]/sqrt2;
+    each eigenvector [u; z] of the order-(n+1) block S, read off the blocks
+    of ``lap_lift``, gives [u/sqrt2; z; u/sqrt2]. Values are in column order.
+    """
+    n = spec.eigenvalues.size
+    root2 = math.sqrt(2.0)
+    s = np.empty((n + 1, n + 1))
+    s[:n, :n] = lap_lift[:n, :n] + lap_lift[:n, n + 1 :]
+    s[:n, n] = s[n, :n] = root2 * lap_lift[:n, n]
+    s[n, n] = lap_lift[n, n]
+    block = eigen_sym(s, solver_tol)
+    v = spec.eigenvectors / root2
+    u, z = block.eigenvectors[:n] / root2, block.eigenvectors[n:]
+    x = np.block([[v, u], [np.zeros((1, n)), z], [-v, u]])
+    return np.concatenate((spec.eigenvalues, block.eigenvalues)), x
+
+
 def verify_all(
     g: Graph,
     match_tol: float = MATCH_TOL,
@@ -326,55 +373,56 @@ def verify_all(
     * ``eq7``   pseudo-connected graphs only
     * ``lift-eigvec`` every graph
 
+    No matrix of order 2n+1 is solved. By Kahan's residual theorem each Ritz
+    value of :func:`_lifted_ritz` lies within
+    ``gap = ||LL X - X Lambda||_F / sqrt(1 - ||X^T X - I||_F)`` of a distinct
+    eigenvalue of the lifted Laplacian LL. eq6 needs the exact mirror
+    certificate and gap <= the lifted tolerance; eq7 needs the smallest base
+    eigenvalue minus gap above the lifted positivity threshold.
+
     Absolute tolerances are ``match_tol`` scaled by max(1, spectral radius)
-    of the matrix each check concerns. Solver non-convergence propagates.
+    of the matrix each check concerns; for the lift, the radius of the Ritz
+    values. Solver non-convergence propagates.
     """
     lap = laplacian_of(g)
     spec = eigen_sym(lap, solver_tol)
-    lifted = lift(g)
-    lap_lift = laplacian_of(lifted.lifted)
-    spec_lift = eigen_sym(lap_lift, solver_tol)
+    lap_lift = laplacian_of(lift(g).lifted)
+    split_ok = _mirror_certificate(lap_lift, lap)
+    ritz, x = _lifted_ritz(lap_lift, spec, solver_tol)
+    res = lap_lift @ x - x * ritz
+    eta = float(np.linalg.norm(x.T @ x - np.eye(x.shape[1])))
+    gap = float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
 
     parts = connected_components(g)
     pseudo = _pseudo_connected(g, parts)
 
+    rho_lift = float(np.max(np.abs(ritz)))
     tol_base = match_tol * max(1.0, spec.spectral_radius)
-    tol_lift = match_tol * max(1.0, spec_lift.spectral_radius)
+    tol_lift = match_tol * max(1.0, rho_lift)
     pos_base = POSITIVITY_TOL * max(1.0, spec.spectral_radius)
-    pos_lift = POSITIVITY_TOL * max(1.0, spec_lift.spectral_radius)
+    pos_lift = POSITIVITY_TOL * max(1.0, rho_lift)
 
-    lam_max = float(spec.eigenvalues[-1])
+    lam_min, lam_max = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
 
     rows = bound_rows(g, spec.eigenvalues, parts.count == 1)
     checks = [CheckResult(r["id"], r["margin"] >= -tol_base, r["margin"]) for r in rows]
 
     if pseudo:
-        margin = float(spec.eigenvalues[0]) - pos_base
+        margin = lam_min - pos_base
         checks.append(CheckResult("lemma1", margin > 0.0, margin))
 
-    match = spectrum_subset(spec, spec_lift, tol_lift)
     interval_bound = 2.0 * _max_nonloop_degree(g) + 1.0
-    match_margin = (tol_lift - match.worst_gap) if match.ok else (tol_lift - match.unmatched_gap)
-    margin6 = min(match_margin, interval_bound + tol_lift - lam_max)
-    checks.append(CheckResult("eq6", match.ok and margin6 >= 0.0, margin6))
+    margin6 = min(tol_lift - gap, interval_bound + tol_lift - lam_max)
+    checks.append(CheckResult("eq6", split_ok and margin6 >= 0.0, margin6))
 
     if pseudo:
-        # Nearest-neighbour lookup into a sorted spectrum is monotone, so the
-        # smallest lifted eigenvalue nearest to any base eigenvalue is the one
-        # nearest to the smallest base eigenvalue.
-        lam_min = spec.eigenvalues[0]
-        k = int(np.searchsorted(spec_lift.eigenvalues, lam_min))
-        near = spec_lift.eigenvalues[max(k - 1, 0) : k + 1]
-        margin = float(near[np.argmin(np.abs(near - lam_min))]) - pos_lift
+        margin = lam_min - gap - pos_lift
         checks.append(CheckResult("eq7", margin > 0.0, margin))
 
-    # [v; 0; -v] built from each base eigenvector, normalized, against the
-    # lifted Laplacian.
-    mirrored = np.vstack(
-        [spec.eigenvectors, np.zeros((1, g.n)), -spec.eigenvectors]
-    ) / math.sqrt(2.0)
-    res = lap_lift @ mirrored - mirrored * spec.eigenvalues
-    worst_res = float(np.sqrt((res * res).sum(axis=0)).max())
+    # The first n columns of X are [v; 0; -v] / sqrt2 for the base
+    # eigenvectors v, so their residuals are the lifted eigenvector check.
+    mirror_res = res[:, : g.n]
+    worst_res = float(np.sqrt((mirror_res * mirror_res).sum(axis=0)).max())
     checks.append(CheckResult("lift-eigvec", worst_res <= tol_lift, tol_lift - worst_res))
 
     return VerificationReport(

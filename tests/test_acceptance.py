@@ -9,7 +9,8 @@ Criteria:
 4. quadratic-form positivity along the mean/fluctuation decomposition
 5. the closed-form bounds are attained by their witness families
 6. the Jacobi solver agrees with the exact charpoly oracle everywhere small
-7. structural identities: Gram assembly, lifted size, middle degree
+7. structural identities: Gram assembly, lifted size, middle degree, and
+   the exact mirror split of the lifted Laplacian
 """
 
 import math
@@ -17,6 +18,7 @@ import time
 
 import numpy as np
 
+import loopspec.spectral as spectral
 from loopspec import (
     GeneratorConfig,
     charpoly_eigenvalues,
@@ -249,6 +251,7 @@ def test_criterion_7_structural_identities():
         return (
             lifted.lifted.n == 2 * g.n + 1
             and degree(lifted.lifted, lifted.middle) == 2 * g.loop_count
+            and spectral._mirror_certificate(laplacian_of(lifted.lifted), lap)
         )
 
     total = 0

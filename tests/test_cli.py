@@ -97,6 +97,42 @@ def test_unallocatable_order_is_exit_2(tmp_path, capsys, command):
     assert err.startswith("error:")
 
 
+class _Reached(MemoryError):
+    """Raised by a stand-in for the first dense step past the order guard."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached("reached the dense step")
+
+
+@pytest.mark.parametrize(
+    "command, n, refused",
+    [
+        ("analyze", cli.MAX_DENSE_ORDER, False),
+        ("analyze", cli.MAX_DENSE_ORDER + 1, True),
+        # verify builds the lifted order 2n + 1
+        ("verify", (cli.MAX_DENSE_ORDER - 1) // 2, False),
+        ("verify", (cli.MAX_DENSE_ORDER - 1) // 2 + 1, True),
+    ],
+)
+def test_dense_order_cap_is_checked_before_allocation(
+    tmp_path, capsys, monkeypatch, command, n, refused
+):
+    # The dense steps are stand-ins, so neither side of the cap allocates.
+    monkeypatch.setattr(cli, "laplacian_of", _reached)
+    monkeypatch.setattr(cli, "verify_all", _reached)
+    path = tmp_path / "header.el"
+    path.write_text(f"{n} 0\n")
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    order = n if command == "analyze" else 2 * n + 1
+    if refused:
+        assert f"dense order {order} exceeds MAX_DENSE_ORDER" in err
+    else:
+        assert order <= cli.MAX_DENSE_ORDER
+        assert "reached the dense step" in err
+
+
 def test_lift_writes_five_path(worked_file, tmp_path, capsys):
     out_path = tmp_path / "lifted.el"
     code, out, _ = run_cli(capsys, "lift", worked_file, str(out_path))

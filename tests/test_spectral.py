@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import loopspec.lifting as lifting
 import loopspec.spectral as spectral
 from loopspec import (
     GeneratorConfig,
     Graph,
     JacobiConvergenceError,
+    LiftedGraph,
     SOLVER_TOL,
     bound_rows,
     connected_components,
@@ -324,3 +326,64 @@ def test_solver_tolerance_is_honoured():
     assert np.abs(tight.eigenvalues - reference).max() <= np.abs(
         loose.eigenvalues - reference
     ).max() + 1e-12
+
+
+# --- the mirror split of the lift ---
+
+
+# Criterion 7 checks the exact mirror certificate on all 1098 graphs with
+# n <= 4 and 200 seeded random ones.
+
+
+@settings(deadline=None, max_examples=60)
+@given(graphs(max_n=12))
+def test_ritz_values_are_the_lifted_spectrum(g):
+    lap_lift = laplacian_of(lift(g).lifted)
+    ritz, _ = spectral._lifted_ritz(lap_lift, eigen_sym(laplacian_of(g)), SOLVER_TOL)
+    reference = np.linalg.eigvalsh(lap_lift)
+    scale = max(1.0, float(np.abs(reference).max()))
+    assert np.abs(np.sort(ritz) - reference).max() <= 1e-10 * scale
+
+
+def test_verify_all_solves_no_matrix_of_the_lifted_order(monkeypatch):
+    orders = []
+
+    def recording(matrix, tol=SOLVER_TOL):
+        orders.append(len(matrix))
+        return eigen_sym(matrix, tol)
+
+    monkeypatch.setattr(spectral, "eigen_sym", recording)
+    g = random_graph(GeneratorConfig(9, 0.4, 0.3, seed=3))
+    assert verify_all(g).passed
+    assert orders == [9, 10]
+
+
+def _misrouted_spoke(g):
+    """A lift whose spoke (middle, v + middle) lands on a loopless vertex w
+    of the second copy instead."""
+    good = lifting.lift(g)
+    loops = g.self_loops()
+    mid, v = good.middle, loops[0]
+    w = next(u for u in range(1, g.n + 1) if u not in loops)
+    edges = (good.lifted.edges - {(mid, v + mid)}) | {(mid, w + mid)}
+    return LiftedGraph(g, Graph(good.lifted.n, edges), mid)
+
+
+def _dropped_copy_edge(g):
+    """A lift that leaves one non-loop edge out of the second copy."""
+    good = lifting.lift(g)
+    mid, (i, j) = good.middle, g.nonloop_edges()[0]
+    return LiftedGraph(g, Graph(good.lifted.n, good.lifted.edges - {(i + mid, j + mid)}), mid)
+
+
+@pytest.mark.parametrize("bad_lift", [_misrouted_spoke, _dropped_copy_edge])
+def test_a_miswired_lift_fails_the_lifted_claims(monkeypatch, bad_lift):
+    g = random_graph(GeneratorConfig(8, 0.4, 0.3, seed=11, require="pseudo_connected"))
+    lap_lift = laplacian_of(bad_lift(g).lifted)
+    assert not spectral._mirror_certificate(lap_lift, laplacian_of(g))
+    monkeypatch.setattr(spectral, "lift", bad_lift)
+    checks = {c.id: c for c in verify_all(g).checks}
+    for cid in ("eq6", "lift-eigvec"):
+        assert not checks[cid].passed and checks[cid].margin < 0.0, checks[cid]
+    for cid in ("eq8", "lemma1"):
+        assert checks[cid].passed, checks[cid]
