@@ -51,8 +51,8 @@ from .spectral import (
 
 __all__ = ["MAX_DENSE_ORDER", "SweepResult", "main", "run_sweep"]
 
-# Largest dense matrix order analyze (order n) and verify (order 2n+1) build;
-# one float64 matrix of this order takes 128 MiB.
+# Largest dense matrix order analyze (order n), verify (order 2n+1) and sweep
+# (order 2 n-max + 1) build; one float64 matrix of this order takes 128 MiB.
 MAX_DENSE_ORDER = 4096
 
 _EXIT_OK = 0
@@ -124,12 +124,13 @@ def _load(path: str) -> Graph:
         raise EdgeListError(f"{path}: {exc}") from exc
 
 
-def _check_dense_order(path: str, order: int) -> None:
+def _check_dense_order(source: str, order: int) -> None:
     """Refuse, before anything dense is allocated, an input whose dense
-    matrices would have an order above ``MAX_DENSE_ORDER``."""
+    matrices would have an order above ``MAX_DENSE_ORDER``; ``source`` names
+    the input in the message."""
     if order > MAX_DENSE_ORDER:
         raise ValueError(
-            f"{path}: dense order {order} exceeds MAX_DENSE_ORDER {MAX_DENSE_ORDER}"
+            f"{source}: dense order {order} exceeds MAX_DENSE_ORDER {MAX_DENSE_ORDER}"
         )
 
 
@@ -295,6 +296,7 @@ def run_sweep(
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n_min > args.n_max:
         raise ValueError(f"n-min {args.n_min} exceeds n-max {args.n_max}")
+    _check_dense_order("--n-max", 2 * args.n_max + 1)
     result = run_sweep(
         mode=args.mode,
         n_max=args.n_max,

@@ -33,13 +33,6 @@ def laplacian_of(g: Graph) -> np.ndarray:
 
 
 def format_matrix(m: np.ndarray) -> str:
-    """Plain-text dump: one row per line, space-separated entries.
-
-    Integer arrays print as integers; floats with 9 significant digits.
-    """
-    m = np.asarray(m)
-    if np.issubdtype(m.dtype, np.integer):
-        rows = (" ".join(str(int(x)) for x in row) for row in m)
-    else:
-        rows = (" ".join(format(float(x), ".9g") for x in row) for row in m)
-    return "\n".join(rows)
+    """Plain-text dump of an integer matrix: one row per line,
+    space-separated entries."""
+    return "\n".join(" ".join(str(int(x)) for x in row) for row in m)

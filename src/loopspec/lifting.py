@@ -30,10 +30,9 @@ __all__ = ["LiftedGraph", "lift"]
 
 @dataclass(frozen=True)
 class LiftedGraph:
-    """Result of :func:`lift`: the base graph, its loopless lift, and the
-    middle vertex index N+1."""
+    """Result of :func:`lift`: the loopless lift and the middle vertex index
+    N+1."""
 
-    base: Graph
     lifted: Graph
     middle: int
 
@@ -50,5 +49,5 @@ def lift(g: Graph) -> LiftedGraph:
     for v in g.self_loops():
         edges.append((v, middle))
         edges.append((middle, v + middle))
-    return LiftedGraph(g, Graph(2 * g.n + 1, frozenset(edges)), middle)
+    return LiftedGraph(Graph(2 * g.n + 1, frozenset(edges)), middle)
 

@@ -39,6 +39,10 @@ RETRY_CAP = 10_000
 MAX_ENUM_VERTICES = 5
 MAX_ORACLE_ORDER = 6
 
+# Bisection points are num / 2^_SCALE, so a final interval is 2^-40 (about
+# 9.1e-13) wide.
+_SCALE = 40
+
 _REQUIREMENTS = ("none", "connected", "pseudo_connected")
 
 
@@ -206,7 +210,7 @@ def _as_integer_matrix(m) -> list[list[int]]:
     return out
 
 
-def charpoly_eigenvalues(m, tol: float = 1e-12) -> list[float]:
+def charpoly_eigenvalues(m) -> list[float]:
     """All eigenvalues of a small symmetric integer matrix, with multiplicity,
     ascending, by exact eigenvalue counting on the characteristic polynomial.
 
@@ -215,13 +219,11 @@ def charpoly_eigenvalues(m, tol: float = 1e-12) -> list[float]:
     is bisected separately at dyadic points of a power-of-two-wide bracket
     starting at -1, so every integer is a bisection point and integer
     eigenvalues come out exact; the others are returned as the midpoint of a
-    final interval at most ``tol`` wide. Every eigenvalue must lie in the
-    closed bracket [-1, 2n+2], which covers every graph Laplacian of order
-    n; one outside it (possible for general symmetric input, never for a
-    Laplacian) raises :class:`OracleError`.
+    final interval 2^-40 wide. Every eigenvalue must lie in the closed
+    bracket [-1, 2n+2], which covers every graph Laplacian of order n; one
+    outside it (possible for general symmetric input, never for a Laplacian)
+    raises :class:`OracleError`.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     entries = _as_integer_matrix(m)
     n = len(entries)
     if n > MAX_ORACLE_ORDER:
@@ -231,26 +233,22 @@ def charpoly_eigenvalues(m, tol: float = 1e-12) -> list[float]:
     below_lo, at_most_lo = _count(poly, lo, 0)
     if below_lo or _count(poly, hi, 0)[1] < n:
         raise OracleError(f"an eigenvalue falls outside the bracket [{lo}, {hi}]")
-    # Bisect on [lo, lo + 2^width_log2], which contains [lo, hi], at the
-    # points num / 2^scale, down to a final interval 2^-scale <= tol wide.
+    # Bisect on [lo, lo + 2^width_log2], which contains [lo, hi].
     width_log2 = (hi - lo).bit_length()
-    scale = 0
-    while 2.0**-scale > tol:
-        scale += 1
     roots: list[float] = []
     for k in range(n):
         if k < at_most_lo:
             roots.append(float(lo))
             continue
-        num, step = lo << scale, 1 << (width_log2 + scale)
+        num, step = lo << _SCALE, 1 << (width_log2 + _SCALE)
         while step > 1:
             step >>= 1
-            below, at_most = _count(poly, num + step, scale)
+            below, at_most = _count(poly, num + step, _SCALE)
             if below <= k:
                 num += step
                 if k < at_most:
-                    roots.append(num / (1 << scale))
+                    roots.append(num / (1 << _SCALE))
                     break
         else:
-            roots.append((2 * num + 1) / (2 << scale))
+            roots.append((2 * num + 1) / (2 << _SCALE))
     return roots

@@ -68,8 +68,6 @@ MATCH_TOL = 1e-8        # absolute eigenvalue match tolerance, scaled by max(1, 
 POSITIVITY_TOL = 1e-8   # positive-definiteness threshold, scaled by max(1, rho)
 JACOBI_MAX_SWEEPS = 50
 
-_EPS = float(np.finfo(np.float64).eps)
-
 
 class JacobiConvergenceError(RuntimeError):
     """The Jacobi sweep cap was reached before the off-diagonal norm converged."""
@@ -80,15 +78,13 @@ class Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
     ``eigenvalues`` are ascending; column j of ``eigenvectors`` pairs with
-    eigenvalue j. ``residual`` is the max over eigenpairs of ||M v - t v||.
-    ``sweeps`` and ``rotations`` count the Jacobi sweeps run and the
+    eigenvalue j. ``sweeps`` and ``rotations`` count the Jacobi sweeps run and the
     rotations applied (skipped pairs do not count); ``off_norm`` is the
     off-diagonal Frobenius norm the solver stopped at.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual: float
     sweeps: int
     rotations: int
     off_norm: float
@@ -98,15 +94,15 @@ class Spectrum:
         return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
 
 
-def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
+def eigen_sym(matrix: np.ndarray) -> Spectrum:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rotate every off-diagonal pair (p, q) in a fixed row-major order,
     so the result is deterministic for a given input. Iteration stops once
-    the off-diagonal Frobenius norm drops to ``tol`` times the Frobenius norm
-    of the input (floored at machine-epsilon scale). Failure to converge
-    within the sweep cap raises :class:`JacobiConvergenceError` rather than
-    returning a partial answer.
+    the off-diagonal Frobenius norm drops to ``SOLVER_TOL`` times the
+    Frobenius norm of the input. Failure to converge within the sweep cap
+    raises :class:`JacobiConvergenceError` rather than returning a partial
+    answer.
 
     The working matrix ``a`` and the transposed eigenvector accumulator
     ``v^T`` share one n x 2n array ``w = [a | v^T]``, so one elementwise
@@ -116,11 +112,8 @@ def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
     exactly symmetric and the off-diagonal norm is read from its upper
     triangle.
 
-    Raises ``ValueError`` for non-square or (exactly) non-symmetric input and
-    for ``tol <= 0``.
+    Raises ``ValueError`` for non-square or (exactly) non-symmetric input.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     raw = np.asarray(matrix)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {raw.shape}")
@@ -132,7 +125,7 @@ def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
     fro = float(np.linalg.norm(m))
     sweeps, rotations, off = 0, 0, 0.0
     if fro > 0.0 and n > 1:
-        threshold = max(tol, _EPS) * fro
+        threshold = SOLVER_TOL * fro
         # Pairs below `skip` contribute at most threshold^2/8 to the squared
         # off-norm in total, so skipping them cannot stall the stopping test.
         skip = threshold / (2.0 * n)
@@ -165,10 +158,7 @@ def eigen_sym(matrix: np.ndarray, tol: float = SOLVER_TOL) -> Spectrum:
             sweeps += 1
     order = np.argsort(np.diagonal(w), kind="stable")
     values = np.diagonal(w)[order].copy()
-    vectors = w[order, n:].T
-    res = m @ vectors - vectors * values
-    residual = float(np.sqrt((res * res).sum(axis=0)).max())
-    return Spectrum(values, vectors, residual, sweeps, rotations, off)
+    return Spectrum(values, w[order, n:].T, sweeps, rotations, off)
 
 
 def fiedler_lower_bound(n: int) -> float:
@@ -334,9 +324,7 @@ def _mirror_certificate(lap_lift: np.ndarray, lap: np.ndarray) -> bool:
     )
 
 
-def _lifted_ritz(
-    lap_lift: np.ndarray, spec: Spectrum, solver_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _lifted_ritz(lap_lift: np.ndarray, spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values and the square Ritz basis X of a lifted Laplacian from
     its mirror split (block form in :mod:`loopspec.lifting`).
 
@@ -350,18 +338,14 @@ def _lifted_ritz(
     s[:n, :n] = lap_lift[:n, :n] + lap_lift[:n, n + 1 :]
     s[:n, n] = s[n, :n] = root2 * lap_lift[:n, n]
     s[n, n] = lap_lift[n, n]
-    block = eigen_sym(s, solver_tol)
+    block = eigen_sym(s)
     v = spec.eigenvectors / root2
     u, z = block.eigenvectors[:n] / root2, block.eigenvectors[n:]
     x = np.block([[v, u], [np.zeros((1, n)), z], [-v, u]])
     return np.concatenate((spec.eigenvalues, block.eigenvalues)), x
 
 
-def verify_all(
-    g: Graph,
-    match_tol: float = MATCH_TOL,
-    solver_tol: float = SOLVER_TOL,
-) -> VerificationReport:
+def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     """Run every spectral check applicable to ``g`` and report margins.
 
     Checks and applicability:
@@ -385,10 +369,10 @@ def verify_all(
     values. Solver non-convergence propagates.
     """
     lap = laplacian_of(g)
-    spec = eigen_sym(lap, solver_tol)
+    spec = eigen_sym(lap)
     lap_lift = laplacian_of(lift(g).lifted)
     split_ok = _mirror_certificate(lap_lift, lap)
-    ritz, x = _lifted_ritz(lap_lift, spec, solver_tol)
+    ritz, x = _lifted_ritz(lap_lift, spec)
     res = lap_lift @ x - x * ritz
     eta = float(np.linalg.norm(x.T @ x - np.eye(x.shape[1])))
     gap = float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
@@ -432,7 +416,7 @@ def verify_all(
         pseudo_connected=pseudo,
         checks=tuple(checks),
         tolerances={
-            "solver_tol": solver_tol,
+            "solver_tol": SOLVER_TOL,
             "match_tol": match_tol,
             "match_tol_scaled_base": tol_base,
             "match_tol_scaled_lifted": tol_lift,

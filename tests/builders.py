@@ -74,8 +74,8 @@ def reference_jacobi(m: np.ndarray, tol: float = SOLVER_TOL):
     columns of ``v`` rotated by one elementwise rule, rows mirrored into
     columns, the 2x2 block set in closed form.
 
-    Returns (eigenvalues, eigenvectors, residual). Input validation and the
-    sweep cap are left out; callers pass symmetric matrices that converge.
+    Returns (eigenvalues, eigenvectors). Input validation and the sweep cap
+    are left out; callers pass symmetric matrices that converge.
     """
     m = np.asarray(m).astype(np.float64)
     n = m.shape[0]
@@ -106,9 +106,14 @@ def reference_jacobi(m: np.ndarray, tol: float = SOLVER_TOL):
                 a[p, q] = a[q, p] = 0.0
     order = np.argsort(np.diagonal(a), kind="stable")
     values = np.diagonal(a)[order].copy()
-    vectors = v[:, order]
-    res = m @ vectors - vectors * values
-    return values, vectors, float(np.sqrt((res * res).sum(axis=0)).max())
+    return values, v[:, order]
+
+
+def residual(m: np.ndarray, spec) -> float:
+    """Largest eigenpair residual ||M v - t v|| of a ``Spectrum`` of ``m``."""
+    vectors = spec.eigenvectors
+    res = np.asarray(m, dtype=np.float64) @ vectors - vectors * spec.eigenvalues
+    return float(np.sqrt((res * res).sum(axis=0)).max())
 
 
 def degree(g: Graph, v: int) -> int:

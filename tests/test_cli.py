@@ -133,6 +133,19 @@ def test_dense_order_cap_is_checked_before_allocation(
         assert "reached the dense step" in err
 
 
+@pytest.mark.parametrize(
+    "n_max, refused",
+    [((cli.MAX_DENSE_ORDER - 1) // 2, False), ((cli.MAX_DENSE_ORDER - 1) // 2 + 1, True)],
+)
+def test_sweep_refuses_an_n_max_above_the_dense_order_cap(capsys, n_max, refused):
+    code, _, err = run_cli(capsys, "sweep", "--n-max", str(n_max), "--samples", "0")
+    if refused:
+        assert code == 2
+        assert f"dense order {2 * n_max + 1} exceeds MAX_DENSE_ORDER" in err
+    else:
+        assert code == 0
+
+
 def test_lift_writes_five_path(worked_file, tmp_path, capsys):
     out_path = tmp_path / "lifted.el"
     code, out, _ = run_cli(capsys, "lift", worked_file, str(out_path))

@@ -79,7 +79,3 @@ def test_format_matrix_integers():
     g = graph_from_edges(2, [(1, 2)])
     assert format_matrix(laplacian_of(g)) == "1 -1\n-1 1"
 
-
-def test_format_matrix_floats_nine_digits():
-    out = format_matrix(np.array([[0.3819660112501051, 0.0]]))
-    assert out == "0.381966011 0"
