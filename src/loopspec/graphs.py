@@ -64,11 +64,8 @@ class Graph:
                 raise ValueError(f"edge {e} out of range 1..{self.n}")
 
     def sorted_edges(self) -> list[Edge]:
-        """Edges in canonical order (lexicographic on the (i, j) pairs)."""
-        return sorted(self.edges)
-
-    def nonloop_edges(self) -> list[Edge]:
-        return sorted(e for e in self.edges if e[0] != e[1])
+        """Edges in (i, j) order; the integer key sorts like the tuples, as 1 <= j <= n."""
+        return sorted(self.edges, key=lambda e: e[0] * (self.n + 1) + e[1])
 
     def self_loops(self) -> list[int]:
         """Vertices carrying a self-loop, ascending."""

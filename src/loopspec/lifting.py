@@ -43,11 +43,11 @@ def lift(g: Graph) -> LiftedGraph:
     A loopless input is accepted; its middle vertex simply ends up isolated.
     """
     middle = g.n + 1
-    nonloops = g.nonloop_edges()
-    edges: list[Edge] = list(nonloops)
-    edges += [(i + middle, j + middle) for i, j in nonloops]
-    for v in g.self_loops():
-        edges.append((v, middle))
-        edges.append((middle, v + middle))
+    edges: list[Edge] = []
+    for i, j in g.edges:
+        if i == j:
+            edges += [(i, middle), (middle, i + middle)]
+        else:
+            edges += [(i, j), (i + middle, j + middle)]
     return LiftedGraph(Graph(2 * g.n + 1, frozenset(edges)), middle)
 

@@ -35,15 +35,16 @@ def with_all_loops(g: Graph) -> Graph:
     return Graph(g.n, g.edges | {(v, v) for v in range(1, g.n + 1)})
 
 
-def incidence_matrix(g: Graph) -> np.ndarray:
+def incidence_matrix(g: Graph, dtype=np.int64) -> np.ndarray:
     """Edge-by-vertex signed incidence matrix E, one row per canonical edge.
 
     A non-loop edge (p, q) with p < q gets +1 at p and -1 at q (the Gram
     matrix E^T E is insensitive to per-row sign flips). A self-loop at p gets
-    a single +1 at p.
+    a single +1 at p. With ``dtype=np.float64``, ``e.T @ e`` runs in BLAS and
+    is still exact: every entry and partial sum is an integer below 2**53.
     """
     edges = g.sorted_edges()
-    e = np.zeros((len(edges), g.n), dtype=np.int64)
+    e = np.zeros((len(edges), g.n), dtype=dtype)
     for r, (i, j) in enumerate(edges):
         e[r, i - 1] = 1
         if i != j:

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopspec.spectral as spectral
 from loopspec import (
@@ -389,3 +397,47 @@ def test_usage_error_exits_2():
         text=True,
     )
     assert proc.returncode == 2
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A header for at most 8 vertices, then distinct edges in either
+    orientation mixed with duplicate, out-of-range, comment, blank and junk
+    lines; the declared edge count is right or arbitrary."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n))
+    lines = [f"{i} {j}" for i, j in draw(st.lists(pair, max_size=12, unique_by=frozenset))]
+    noise = st.one_of(
+        st.sampled_from(lines or ["1 1"]),
+        st.tuples(st.integers(-2, 10), st.integers(-2, 10)).map(lambda p: f"{p[0]} {p[1]}"),
+        st.sampled_from(["# comment", "", "   ", "1", "1 2 3", "x y"]),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    )
+    declared = len(lines) if draw(st.booleans()) else draw(st.integers(0, 12))
+    lines += draw(st.lists(noise, max_size=2))
+    return "\n".join([f"{n} {declared}", *draw(st.permutations(lines))]) + "\n"
+
+
+tolerances = st.one_of(
+    st.none(),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "1e-20"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_list_texts(), tolerances)
+def test_arbitrary_input_exits_cleanly_with_strict_json(text, tol):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("LOOPSPEC_TOL", None)
+        if tol is not None:
+            os.environ["LOOPSPEC_TOL"] = tol
+        path = Path(tmp) / "g.el"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["verify", str(path)], ["analyze", str(path), "--format", "json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            if code != 2:
+                json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -66,7 +66,7 @@ def test_self_loop_is_a_normal_edge():
     g = graph_from_edges(2, [(1, 1), (1, 2)])
     assert g.loop_count == 1
     assert g.self_loops() == [1]
-    assert g.nonloop_edges() == [(1, 2)]
+    assert sorted(e for e in g.edges if e[0] != e[1]) == [(1, 2)]
     assert degree(g, 1) == 2
     assert degree(g, 2) == 1
 
@@ -156,6 +156,11 @@ def test_parse_edge_count_mismatch():
 def test_format_worked_example():
     g = graph_from_edges(2, [(1, 2), (1, 1)])
     assert format_edge_list(g) == "2 2\n1 1\n1 2\n"
+
+
+@given(graphs(max_n=12))
+def test_sorted_edges_is_the_tuple_order(g):
+    assert g.sorted_edges() == sorted(g.edges)
 
 
 @given(graphs())

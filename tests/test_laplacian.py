@@ -1,7 +1,15 @@
 import numpy as np
 from hypothesis import given
 
-from loopspec import Graph, format_matrix, graph_from_edges, laplacian_of
+from loopspec import (
+    GeneratorConfig,
+    Graph,
+    format_matrix,
+    graph_from_edges,
+    laplacian_of,
+    lift,
+    random_graph,
+)
 from builders import degree_adjacency, graphs, incidence_matrix, path_graph
 
 
@@ -51,6 +59,35 @@ def test_gram_identity(g):
     d, a = degree_adjacency(g)
     assert np.array_equal(e.T @ e, lap)
     assert np.array_equal(d - a, lap)
+
+
+def _assert_gram(g):
+    lap = laplacian_of(g)
+    e = incidence_matrix(g, dtype=np.float64)
+    assert lap.dtype == np.int64
+    assert np.array_equal(e.T @ e, lap)
+
+
+def _seeded_graphs():
+    rng = np.random.default_rng(2024)
+    for n in range(2, 61):
+        p_edge, p_loop = rng.uniform(0.05, 0.7), rng.uniform(0.0, 0.5)
+        yield random_graph(GeneratorConfig(n, p_edge, p_loop, seed=n))
+    yield random_graph(GeneratorConfig(1000, 0.01, 0.05, seed=5))
+
+
+def test_gram_identity_beyond_small_orders():
+    """The scattered Laplacian of seeded graphs up to n = 60, of one sparse
+    n = 1000 graph, and of their lifts equals E^T E."""
+    for g in _seeded_graphs():
+        _assert_gram(g)
+        _assert_gram(lift(g).lifted)
+
+
+def test_single_vertex_without_edges():
+    lap = laplacian_of(Graph(1))
+    assert lap.dtype == np.int64
+    assert lap.tolist() == [[0]]
 
 
 @given(graphs())
