@@ -107,10 +107,12 @@ def eigen_sym(matrix: np.ndarray) -> Spectrum:
     The working matrix ``a`` and the transposed eigenvector accumulator
     ``v^T`` share one n x 2n array ``w = [a | v^T]``, so one elementwise
     update of rows p and q of ``w`` rotates the rows of ``a`` and the columns
-    of ``v`` together. Rows p and q of ``a`` are then mirrored into its
-    columns p and q and the 2x2 block is set in closed form, so ``a`` stays
-    exactly symmetric and the off-diagonal norm is read from its upper
-    triangle.
+    of ``v`` together. A rotation allocates nothing: c and s are passed as
+    0-d arrays and its four products go into rows preallocated per solve,
+    so it stays bitwise equal to the plain elementwise rule. Rows p and q of
+    ``a`` are then mirrored into its columns p and q and the 2x2 block is
+    set in closed form, so ``a`` stays exactly symmetric and the
+    off-diagonal norm is read from its upper triangle.
 
     Raises ``ValueError`` for non-square or (exactly) non-symmetric input.
     """
@@ -129,9 +131,11 @@ def eigen_sym(matrix: np.ndarray) -> Spectrum:
         # Pairs below `skip` contribute at most threshold^2/8 to the squared
         # off-norm in total, so skipping them cannot stall the stopping test.
         skip = threshold / (2.0 * n)
-        upper = np.triu_indices(n, 1)
-        rows, cols = list(w), [w[:, j] for j in range(n)]
-        while (off := math.sqrt(2.0) * float(np.linalg.norm(w[upper]))) > threshold:
+        a, upper = w[:, :n], ~np.tri(n, dtype=bool)  # upper: a's strict upper triangle
+        rows, heads, cols = list(w), list(a), [w[:, j] for j in range(n)]
+        c_, s_ = np.empty(()), np.empty(())
+        cp, sq, sp, cq = np.empty((4, 2 * n))
+        while (off := math.sqrt(2.0) * float(np.linalg.norm(a[upper]))) > threshold:
             if sweeps >= JACOBI_MAX_SWEEPS:
                 raise JacobiConvergenceError(
                     f"no convergence after {JACOBI_MAX_SWEEPS} sweeps "
@@ -148,10 +152,15 @@ def eigen_sym(matrix: np.ndarray) -> Spectrum:
                 if theta < 0.0:
                     t = -t
                 c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # Both right sides are built before either row is written.
-                wp[:], wq[:] = c * wp - s * wq, s * wp + c * wq
-                cols[p][:], cols[q][:] = wp[:n], wq[:n]
+                c_[()], s_[()] = c, t * c
+                # All four products are formed before either row is written.
+                np.multiply(wp, c_, cp)
+                np.multiply(wq, s_, sq)
+                np.multiply(wp, s_, sp)
+                np.multiply(wq, c_, cq)
+                np.subtract(cp, sq, wp)
+                np.add(sp, cq, wq)
+                cols[p][:], cols[q][:] = heads[p], heads[q]
                 wp[p], wq[q] = app - t * apq, aqq + t * apq
                 wp[q] = wq[p] = 0.0
                 rotations += 1
