@@ -7,14 +7,13 @@ positivity test for pseudo-connected Laplacians, the lifted-spectrum
 inclusion check, and ``verify_all``, which runs every claim applicable to a
 graph and returns a structured report.
 
-The lifted Laplacian is never solved whole. Swapping the two vertex copies of
-the lift commutes with it, so it splits into two blocks and
-spec(lift) = spec(L(G)) U spec(S): the antisymmetric block, on vectors
-[x; 0; -x], is L(G) itself, and the symmetric block S has order N+1.
-``verify_all`` checks that split exactly in integers, solves S, assembles
-the full lifted basis from both blocks and certifies it against the lifted
-Laplacian with Kahan's residual theorem. eq6's margin is the lifted
-tolerance minus that certified gap (or the interval slack, if smaller).
+The lifted Laplacian LL is never solved whole: its mirror split (see
+:mod:`loopspec.lifting`) gives spec(LL) = spec(L(G)) U spec(S). ``verify_all``
+checks that split exactly in integers and solves L(G) alone. By Kahan's
+theorem for the full-rank (2N+1) x N mirror basis X = [V; 0; -V]/sqrt2, N
+distinct eigenvalues of LL lie within ||LL X - X Lambda||_2 / sigma_min(X)
+of the base ones, and sigma_min(X)^2 >= 1 - ||X^T X - I||_F. eq6's margin is
+the lifted tolerance minus that certified gap (or the interval slack).
 
 Check identifiers used in reports (fixed wire format):
 
@@ -333,25 +332,26 @@ def _mirror_certificate(lap_lift: np.ndarray, lap: np.ndarray) -> bool:
     )
 
 
-def _lifted_ritz(lap_lift: np.ndarray, spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Ritz values and the square Ritz basis X of a lifted Laplacian from
-    its mirror split (block form in :mod:`loopspec.lifting`).
-
-    Each base eigenvector v in ``spec`` gives the column [v; 0; -v]/sqrt2;
-    each eigenvector [u; z] of the order-(n+1) block S, read off the blocks
-    of ``lap_lift``, gives [u/sqrt2; z; u/sqrt2]. Values are in column order.
+def _lifted_top(lap_lift: np.ndarray, spec: Spectrum) -> float:
+    """lambda_max of the lift's block S, without solving S. With c = LL[:n, n]
+    and d = LL[n, n], S is the arrowhead [[Lambda, z], [z^T, d]] in the basis
+    diag(V, 1), z = sqrt2 V^T c. f(mu) = mu - d - sum z_i^2 / (mu - lambda_i)
+    increases above lambda_N, where its roots are S's eigenvalues (the secular
+    equation, Golub 1973): lambda_max(S) is that root, or lambda_N if none, and
+    f >= 0 at the bracket's top, max(lambda_N, d) + ||z||. S's leading block is
+    L(G) + B, B cross-copy: zero row sums of a loopless lift and the exact
+    certificate force B = 0, and where the certificate fails, eq6 fails anyway.
     """
-    n = spec.eigenvalues.size
-    root2 = math.sqrt(2.0)
-    s = np.empty((n + 1, n + 1))
-    s[:n, :n] = lap_lift[:n, :n] + lap_lift[:n, n + 1 :]
-    s[:n, n] = s[n, :n] = root2 * lap_lift[:n, n]
-    s[n, n] = lap_lift[n, n]
-    block = eigen_sym(s)
-    v = spec.eigenvectors / root2
-    u, z = block.eigenvectors[:n] / root2, block.eigenvectors[n:]
-    x = np.block([[v, u], [np.zeros((1, n)), z], [-v, u]])
-    return np.concatenate((spec.eigenvalues, block.eigenvalues)), x
+    lam, n = spec.eigenvalues, spec.eigenvalues.size
+    z2 = 2.0 * (spec.eigenvectors.T @ lap_lift[:n, n]) ** 2
+    lo, d = float(lam[-1]), float(lap_lift[n, n])
+    hi = max(lo, d) + math.sqrt(float(z2.sum()))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid - d - float(np.sum(z2 / (mid - lam))) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
@@ -366,30 +366,31 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     * ``eq7``   pseudo-connected graphs only
     * ``lift-eigvec`` every graph
 
-    No matrix of order 2n+1 is solved. By Kahan's residual theorem each Ritz
-    value of :func:`_lifted_ritz` lies within
-    ``gap = ||LL X - X Lambda||_F / sqrt(1 - ||X^T X - I||_F)`` of a distinct
-    eigenvalue of the lifted Laplacian LL. eq6 needs the exact mirror
-    certificate and gap <= the lifted tolerance; eq7 needs the smallest base
-    eigenvalue minus gap above the lifted positivity threshold.
+    Only L(G) is solved. Kahan's theorem for the full-rank mirror basis
+    X = [V; 0; -V]/sqrt2 puts n distinct lifted eigenvalues within
+    ||R||_2 / sigma_min(X) of Lambda, R = LL X - X Lambda; as sigma_min(X)^2
+    >= 1 - eta, eta = ||X^T X - I||_F, each is within ``gap = ||R||_F / sqrt(1 - eta)``.
+    eq6 needs the exact mirror certificate and gap <= the lifted
+    tolerance; eq7 needs lambda_min - gap above the lifted positivity threshold.
 
     Absolute tolerances are ``match_tol`` scaled by max(1, spectral radius)
-    of the matrix each check concerns; for the lift, the radius of the Ritz
-    values. Solver non-convergence propagates.
+    of the matrix each check concerns; for the lift, lambda_max of its block
+    S (:func:`_lifted_top`). Solver non-convergence propagates.
     """
     lap = laplacian_of(g)
     spec = eigen_sym(lap)
     lap_lift = laplacian_of(lift(g).lifted)
     split_ok = _mirror_certificate(lap_lift, lap)
-    ritz, x = _lifted_ritz(lap_lift, spec)
-    res = lap_lift @ x - x * ritz
-    eta = float(np.linalg.norm(x.T @ x - np.eye(x.shape[1])))
+    v = spec.eigenvectors / math.sqrt(2.0)
+    x = np.concatenate((v, np.zeros((1, g.n)), -v))
+    res = lap_lift @ x - x * spec.eigenvalues
+    eta = float(np.linalg.norm(x.T @ x - np.eye(g.n)))
     gap = float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
 
     parts = connected_components(g)
     pseudo = _pseudo_connected(g, parts)
 
-    rho_lift = float(np.max(np.abs(ritz)))
+    rho_lift = _lifted_top(lap_lift, spec)
     tol_base = match_tol * max(1.0, spec.spectral_radius)
     tol_lift = match_tol * max(1.0, rho_lift)
     pos_base = POSITIVITY_TOL * max(1.0, spec.spectral_radius)
@@ -412,10 +413,8 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
         margin = lam_min - gap - pos_lift
         checks.append(CheckResult("eq7", margin > 0.0, margin))
 
-    # The first n columns of X are [v; 0; -v] / sqrt2 for the base
-    # eigenvectors v, so their residuals are the lifted eigenvector check.
-    mirror_res = res[:, : g.n]
-    worst_res = float(np.sqrt((mirror_res * mirror_res).sum(axis=0)).max())
+    # Column j of res is the lifted residual of base eigenvector j.
+    worst_res = float(np.sqrt((res * res).sum(axis=0)).max())
     checks.append(CheckResult("lift-eigvec", worst_res <= tol_lift, tol_lift - worst_res))
 
     return VerificationReport(

@@ -110,6 +110,18 @@ def reference_jacobi(m: np.ndarray, tol: float = SOLVER_TOL):
     return values, v[:, order]
 
 
+def symmetric_block(lap_lift: np.ndarray) -> np.ndarray:
+    """The order-(N+1) symmetric block S = [[A + B, sqrt2 c], [sqrt2 c^T, d]]
+    of a lifted Laplacian with blocks [[A, c, B], [c^T, d, c^T], [B, c, A]]
+    (see :mod:`loopspec.lifting`), as float64 with the sqrt2 border."""
+    n = lap_lift.shape[0] // 2
+    s = np.empty((n + 1, n + 1))
+    s[:n, :n] = lap_lift[:n, :n] + lap_lift[:n, n + 1 :]
+    s[:n, n] = s[n, :n] = math.sqrt(2.0) * lap_lift[:n, n]
+    s[n, n] = lap_lift[n, n]
+    return s
+
+
 def residual(m: np.ndarray, spec) -> float:
     """Largest eigenpair residual ||M v - t v|| of a ``Spectrum`` of ``m``."""
     vectors = spec.eigenvectors

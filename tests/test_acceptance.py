@@ -1,13 +1,14 @@
 """Acceptance suite: seven end-to-end criteria, one test and one printed
-PASS/FAIL line each. Tolerances are fixed here on purpose; loosening them is
-a contract change, not a test fix.
+PASS/FAIL line each (two for criterion 5). Tolerances are fixed here on
+purpose; loosening them is a contract change, not a test fix.
 
 Criteria:
 1. the two-vertex worked example reproduces exactly, in under a second
 2. exhaustive verification of every graph on up to 4 vertices, zero failures
 3. a seeded 1000-graph randomized campaign, zero failures
 4. quadratic-form positivity along the mean/fluctuation decomposition
-5. the closed-form bounds are attained by their witness families
+5. the closed-form bounds are attained by their witness families, and the
+   lift's own eq2 bound is attained by end-looped paths
 6. the Jacobi solver agrees with the exact charpoly oracle everywhere small
 7. structural identities: Gram assembly, lifted size, middle degree, and
    the exact mirror split of the lifted Laplacian
@@ -18,6 +19,7 @@ import time
 
 import numpy as np
 
+import loopspec.cli as cli
 import loopspec.spectral as spectral
 from loopspec import (
     GeneratorConfig,
@@ -27,6 +29,7 @@ from loopspec import (
     enumerate_graphs,
     fiedler_lower_bound,
     graph_from_edges,
+    is_pseudo_connected,
     laplacian_of,
     lift,
     random_graph,
@@ -220,6 +223,52 @@ def test_criterion_5_bound_tightness_witnesses():
         f"criterion 5: tightness witnesses, worst path gap {max(path_gaps):.2e}, "
         f"C4 top {top:.9g}, looped K1 top {k1_top:g}",
     ), (path_gaps, top, k1_top)
+
+
+def test_criterion_5_lift_witnesses(monkeypatch):
+    """A corollary of the paper's lift, not a result the paper states: a
+    pseudo-connected G lifts to a connected loopless graph on 2N+1 vertices
+    whose zero eigenvalue (the constant vector) lies in the lift's symmetric
+    block, so eq2 applied to the lift gives
+    lambda_min(L(G)) >= 2(1 - cos(pi/(2N+1))). A path with a loop at one end
+    lifts to the path on 2N+1 vertices and attains it, so lemma1's and eq7's
+    reported margins plus their thresholds must land on the bound."""
+    path_gaps, eq7_gaps = [], []
+    for n in range(1, 41):
+        g = graph_from_edges(n, [(1, 1)] + [(i, i + 1) for i in range(1, n)])
+        report = verify_all(g)
+        margins = {c.id: c.margin for c in report.checks}
+        bound = fiedler_lower_bound(2 * n + 1)
+        tols = report.tolerances
+        path_gaps.append(margins["lemma1"] + tols["positivity_threshold_base"] - bound)
+        eq7_gaps.append(margins["eq7"] + tols["positivity_threshold_lifted"] - bound)
+    path_ok = max(abs(d) for d in path_gaps) <= 1e-12
+    eq7_ok = -1e-10 <= min(eq7_gaps) and max(eq7_gaps) <= 1e-12
+
+    # The same graphs as criteria 2 and 3: run_sweep draws them, and the
+    # pseudo-connected ones are verified here.
+    drawn = []
+    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: drawn.append(g))
+    run_sweep(mode="exhaustive", n_max=4)
+    run_sweep(
+        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
+    )
+    slack = math.inf
+    pseudo = [g for g in drawn if is_pseudo_connected(g)]
+    for g in pseudo:
+        report = verify_all(g)
+        lemma1 = next(c for c in report.checks if c.id == "lemma1")
+        lam_min = lemma1.margin + report.tolerances["positivity_threshold_base"]
+        slack = min(slack, lam_min - fiedler_lower_bound(2 * g.n + 1))
+    campaign_ok = len(drawn) == 1098 + 1000 and slack >= -1e-13
+
+    ok = path_ok and eq7_ok and campaign_ok
+    assert _line(
+        ok,
+        f"criterion 5: lifted eq2 bound, end-looped paths N=1..40 worst lemma1 gap "
+        f"{max(abs(d) for d in path_gaps):.1e}, eq7 gap {min(eq7_gaps):.1e}; "
+        f"min slack {slack:.1e} on {len(pseudo)} pseudo-connected graphs",
+    ), (path_gaps, eq7_gaps, len(drawn), slack)
 
 
 def test_criterion_6_solver_against_oracle():

@@ -350,22 +350,27 @@ def test_sweep_bad_range(capsys):
 
 
 def test_sweep_records_solver_errors_and_goes_on(monkeypatch):
-    # With no sweeps allowed, only graphs without edges (whose Laplacian and
-    # lifted Laplacian are already diagonal) get through the solver.
+    # With no sweeps allowed, only graphs whose Laplacian is already diagonal
+    # get through the solver: those without a non-loop edge.
     monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 0)
+
+    def has_nonloop_edge(g):
+        return any(i != j for i, j in g.edges)
+
     exhaustive = run_sweep("exhaustive", n_max=2)
-    assert (exhaustive.total, exhaustive.passed) == (2 + 8, 2)
+    assert (exhaustive.total, exhaustive.passed) == (2 + 8, 6)
     errored = {(f["n"], f["index"]) for f in exhaustive.failures}
-    assert errored == {(1, 1)} | {(2, i) for i in range(1, 8)}
+    assert errored == {
+        (n, i) for n in (1, 2) for i, g in enumerate(enumerate_graphs(n)) if has_nonloop_edge(g)
+    }
     for f in exhaustive.failures:
-        assert list(enumerate_graphs(f["n"]))[f["index"]].edges
         assert "0 sweeps" in f["error"] and "failed_checks" not in f
 
     sampled = run_sweep("random", n_max=4, samples=8, seed=5)
     assert sampled.total == 8 and sampled.failures
     assert sampled.passed + len(sampled.failures) == sampled.total
     for f in sampled.failures:
-        assert random_graph(GeneratorConfig(**f["config"])).edges
+        assert has_nonloop_edge(random_graph(GeneratorConfig(**f["config"])))
         assert "0 sweeps" in f["error"]
     json.dumps(sampled.to_json_dict(), allow_nan=False)
 

@@ -14,6 +14,7 @@ from loopspec import (
     JacobiConvergenceError,
     LiftedGraph,
     SOLVER_TOL,
+    Spectrum,
     bound_rows,
     connected_components,
     degree_upper_bound,
@@ -28,11 +29,13 @@ from loopspec import (
     verify_all,
 )
 from builders import (
+    complete_graph,
     cycle_graph,
     graphs,
     path_graph,
     reference_jacobi,
     residual,
+    symmetric_block,
     with_all_loops,
 )
 
@@ -130,8 +133,9 @@ def test_bitwise_equal_to_reference_kernel_on_random_graphs(n):
 
 @pytest.mark.parametrize("sizes", [range(2, 13), (22, 26, 30)])
 def test_bitwise_equal_to_reference_kernel_on_what_verify_all_solves(monkeypatch, sizes):
-    # L(G) and the lift's block S, whose border carries sqrt(2) entries
-    solved = []
+    # verify_all solves L(G) alone; the lift's block S, whose border carries
+    # sqrt(2) entries, is held to the reference too as a float input
+    solved, blocks = [], []
 
     def recording(matrix):
         solved.append(np.array(matrix))
@@ -139,10 +143,12 @@ def test_bitwise_equal_to_reference_kernel_on_what_verify_all_solves(monkeypatch
 
     monkeypatch.setattr(spectral, "eigen_sym", recording)
     for n in sizes:
-        verify_all(random_graph(GeneratorConfig(n, 0.4, 0.3, 2000 * n)))
-    assert [len(m) for m in solved] == [k for n in sizes for k in (n, n + 1)]
-    assert not all(np.array_equal(m, np.round(m)) for m in solved)
-    for m in solved:
+        g = random_graph(GeneratorConfig(n, 0.4, 0.3, 2000 * n))
+        verify_all(g)
+        blocks.append(symmetric_block(laplacian_of(lift(g).lifted)))
+    assert [len(m) for m in solved] == list(sizes)
+    assert not all(np.array_equal(m, np.round(m)) for m in blocks)
+    for m in solved + blocks:
         _assert_bitwise_reference(m)
 
 
@@ -373,14 +379,25 @@ def test_spectral_radius_of_empty_spectrum_is_zero():
 # n <= 4 and 200 seeded random ones.
 
 
-@settings(deadline=None, max_examples=60)
-@given(graphs(max_n=12))
-def test_ritz_values_are_the_lifted_spectrum(g):
-    lap_lift = laplacian_of(lift(g).lifted)
-    ritz, _ = spectral._lifted_ritz(lap_lift, eigen_sym(laplacian_of(g)))
-    reference = np.linalg.eigvalsh(lap_lift)
-    scale = max(1.0, float(np.abs(reference).max()))
-    assert np.abs(np.sort(ritz) - reference).max() <= 1e-10 * scale
+def _lifted_top_cases():
+    yield Graph(1)
+    yield graph_from_edges(1, [(1, 1)])
+    yield from (path_graph(5), cycle_graph(6), graph_from_edges(4, [(1, 2), (3, 4)]))
+    # every loop on K_n: L(G) = (n+1) I - J has a top eigenvalue of
+    # multiplicity n-1, and lambda_max(S) = 2n+1 lies above it
+    yield from (with_all_loops(complete_graph(n)) for n in range(2, 7))
+    for n in range(2, 13):
+        yield random_graph(GeneratorConfig(n, 0.4, 0.3, 3000 * n))
+    for n in range(22, 31):
+        yield random_graph(GeneratorConfig(n, 0.4, 0.3, 3000 * n, require="pseudo_connected"))
+
+
+def test_lifted_top_is_the_largest_eigenvalue_of_s():
+    for g in _lifted_top_cases():
+        lap_lift = laplacian_of(lift(g).lifted)
+        top = spectral._lifted_top(lap_lift, eigen_sym(laplacian_of(g)))
+        reference = float(eigen_sym(symmetric_block(lap_lift)).eigenvalues[-1])
+        assert abs(top - reference) <= 1e-12 * reference, (g, top, reference)
 
 
 def test_verify_all_solves_no_matrix_of_the_lifted_order(monkeypatch):
@@ -393,7 +410,7 @@ def test_verify_all_solves_no_matrix_of_the_lifted_order(monkeypatch):
     monkeypatch.setattr(spectral, "eigen_sym", recording)
     g = random_graph(GeneratorConfig(9, 0.4, 0.3, seed=3))
     assert verify_all(g).passed
-    assert orders == [9, 10]
+    assert orders == [9]
 
 
 def _misrouted_spoke(g):
@@ -421,6 +438,23 @@ def test_a_miswired_lift_fails_the_lifted_claims(monkeypatch, bad_lift):
     assert not spectral._mirror_certificate(lap_lift, laplacian_of(g))
     monkeypatch.setattr(spectral, "lift", bad_lift)
     checks = {c.id: c for c in verify_all(g).checks}
+    for cid in ("eq6", "lift-eigvec"):
+        assert not checks[cid].passed and checks[cid].margin < 0.0, checks[cid]
+    for cid in ("eq8", "lemma1"):
+        assert checks[cid].passed, checks[cid]
+
+
+def test_a_perturbed_base_eigenvector_fails_the_lifted_claims(monkeypatch):
+    # The lift is certified from L(G)'s own eigenpairs, so an eigenvector
+    # that is off by 1e-6 must show in the lifted residual.
+    def perturbed(matrix):
+        spec = eigen_sym(matrix)
+        vectors = spec.eigenvectors.copy()
+        vectors[0, 0] += 1e-6
+        return Spectrum(spec.eigenvalues, vectors, spec.sweeps, spec.rotations, spec.off_norm)
+
+    monkeypatch.setattr(spectral, "eigen_sym", perturbed)
+    checks = {c.id: c for c in verify_all(_pseudo_connected_8()).checks}
     for cid in ("eq6", "lift-eigvec"):
         assert not checks[cid].passed and checks[cid].margin < 0.0, checks[cid]
     for cid in ("eq8", "lemma1"):
