@@ -6,9 +6,13 @@ The oracle path is pure integer arithmetic: Faddeev-LeVerrier for the
 characteristic polynomial, then one counting rule. The polynomial of a
 symmetric matrix has only real roots, so Descartes' rule of signs applied to
 p(x + t) counts the eigenvalues above x exactly, with multiplicity, and
-bisection on that count pins down each eigenvalue. Its only approximation
-is the final bisection width, so agreement with the floating-point solver is
-a real cross-check and not a tautology.
+bisection on that count pins down each eigenvalue. Once a bisection interval
+is known to hold a single simple root, the sign of p at the midpoint answers
+the same question as the count for O(n) work in place of O(n^2) (isolate,
+then refine: Collins & Akritas, 1976), so the points visited and the values
+returned do not change. Its only approximation is the final bisection
+width, so agreement with the floating-point solver is a real cross-check and
+not a tautology.
 """
 
 from __future__ import annotations
@@ -197,6 +201,11 @@ def _as_integer_matrix(m) -> list[list[int]]:
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.dtype.kind in "fc":
+        # before the symmetry test, which NaN fails, and int(), which inf fails
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            raise ValueError(f"matrix entries must be integers, got {bad[0].item()!r}")
     if not np.array_equal(arr, arr.T):
         raise ValueError("matrix is not symmetric")
     out: list[list[int]] = []
@@ -210,19 +219,38 @@ def _as_integer_matrix(m) -> list[list[int]]:
     return out
 
 
+def _sign(scaled: list[int], num: int) -> int:
+    """Sign (-1, 0 or 1) of p at x = num / 2^_SCALE by one Horner pass, where
+    ``scaled[i]`` is p's coefficient of x^i times 2^(_SCALE * (n - i))."""
+    acc = 0
+    for c in reversed(scaled):
+        acc = acc * num + c
+    return (acc > 0) - (acc < 0)
+
+
 def charpoly_eigenvalues(m) -> list[float]:
     """All eigenvalues of a small symmetric integer matrix, with multiplicity,
     ascending, by exact eigenvalue counting on the characteristic polynomial.
 
     Symmetry guarantees that every root of the polynomial is real, which is
-    what makes the sign-change count in :func:`_count` exact. Each eigenvalue
-    is bisected separately at dyadic points of a power-of-two-wide bracket
+    what makes the sign-change count in :func:`_count` exact. The k-th
+    eigenvalue is bisected at dyadic points of a power-of-two-wide bracket
     starting at -1, so every integer is a bisection point and integer
     eigenvalues come out exact; the others are returned as the midpoint of a
     final interval 2^-40 wide. Every eigenvalue must lie in the closed
     bracket [-1, 2n+2], which covers every graph Laplacian of order n; one
     outside it (possible for general symmetric input, never for a Laplacian)
     raises :class:`OracleError`.
+
+    The bisection runs in two phases. While the interval [num, top) holds
+    two or more roots, each midpoint x is decided by the count of roots below
+    it; counts are kept per call, since the first few midpoints are the same
+    for every eigenvalue. Once [num, top) holds exactly one root, that root
+    is the k-th, it is simple and it lies strictly above num. Then p(x) has
+    the sign of p(num), (-1)^(n-k) for the monic p, exactly when the root
+    lies above x, and p(x) = 0 exactly when x is the root, so the sign of p
+    gives the count the first phase would have computed: the same points
+    are visited and the same value is returned.
     """
     entries = _as_integer_matrix(m)
     n = len(entries)
@@ -235,20 +263,34 @@ def charpoly_eigenvalues(m) -> list[float]:
         raise OracleError(f"an eigenvalue falls outside the bracket [{lo}, {hi}]")
     # Bisect on [lo, lo + 2^width_log2], which contains [lo, hi].
     width_log2 = (hi - lo).bit_length()
+    scaled = [c << (_SCALE * (n - i)) for i, c in enumerate(poly)]
+    counts: dict[int, tuple[int, int]] = {}
     roots: list[float] = []
     for k in range(n):
         if k < at_most_lo:
             roots.append(float(lo))
             continue
         num, step = lo << _SCALE, 1 << (width_log2 + _SCALE)
+        # roots below num and below top = num + 2 * step; top starts above hi
+        below_num, below_top = 0, n
+        sign_num = -1 if (n - k) % 2 else 1
         while step > 1:
             step >>= 1
-            below, at_most = _count(poly, num + step, _SCALE)
+            x = num + step
+            if below_top - below_num == 1:  # one simple root, above num
+                sign = _sign(scaled, x)
+                below, at_most = k + (sign == -sign_num), k + (sign != sign_num)
+            else:
+                if x not in counts:
+                    counts[x] = _count(poly, x, _SCALE)
+                below, at_most = counts[x]
             if below <= k:
-                num += step
+                num, below_num = x, below
                 if k < at_most:
                     roots.append(num / (1 << _SCALE))
                     break
+            else:
+                below_top = below
         else:
             roots.append((2 * num + 1) / (2 << _SCALE))
     return roots

@@ -113,17 +113,21 @@ def eigen_sym(matrix: np.ndarray) -> Spectrum:
     set in closed form, so ``a`` stays exactly symmetric and the
     off-diagonal norm is read from its upper triangle.
 
-    Raises ``ValueError`` for non-square or (exactly) non-symmetric input.
+    Raises ``ValueError`` for non-square or (exactly) non-symmetric input,
+    and for input with an infinite or NaN entry or whose Frobenius norm
+    overflows to infinity, where the stopping threshold would be meaningless.
     """
     raw = np.asarray(matrix)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {raw.shape}")
+    m = raw.astype(np.float64)
+    fro = float(np.linalg.norm(m))
+    if not math.isfinite(fro):  # before the symmetry test, which NaN fails
+        raise ValueError(f"matrix has a non-finite entry or Frobenius norm ({fro})")
     if not np.array_equal(raw, raw.T):
         raise ValueError("matrix is not symmetric")
-    m = raw.astype(np.float64)
     n = m.shape[0]
     w = np.concatenate((m, np.eye(n)), axis=1)  # [a | v^T]; its diagonal is a's
-    fro = float(np.linalg.norm(m))
     sweeps, rotations, off = 0, 0, 0.0
     if fro > 0.0 and n > 1:
         threshold = SOLVER_TOL * fro

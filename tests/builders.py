@@ -7,7 +7,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from loopspec import SOLVER_TOL, Graph, graph_from_edges
+from loopspec import SOLVER_TOL, Graph, graph_from_edges, oracle
 
 
 def path_graph(n: int) -> Graph:
@@ -108,6 +108,45 @@ def reference_jacobi(m: np.ndarray, tol: float = SOLVER_TOL):
     order = np.argsort(np.diagonal(a), kind="stable")
     values = np.diagonal(a)[order].copy()
     return values, v[:, order]
+
+
+def reference_charpoly_eigenvalues(m) -> list[float]:
+    """Frozen copy of the count-only bisection that ``charpoly_eigenvalues``
+    must reproduce exactly: every eigenvalue bisected from the full bracket
+    [-1, 2n+2] by a fresh Descartes count at each dyadic midpoint.
+
+    Reuses the oracle's input check, Faddeev-LeVerrier polynomial and count
+    through the module, so a test that patches ``oracle._count`` sees these
+    calls too.
+    """
+    entries = oracle._as_integer_matrix(m)
+    n = len(entries)
+    if n > oracle.MAX_ORACLE_ORDER:
+        raise ValueError(f"oracle is capped at order {oracle.MAX_ORACLE_ORDER}, got {n}")
+    scale = oracle._SCALE
+    poly = oracle._charpoly(entries)
+    lo, hi = -1, 2 * n + 2
+    below_lo, at_most_lo = oracle._count(poly, lo, 0)
+    if below_lo or oracle._count(poly, hi, 0)[1] < n:
+        raise oracle.OracleError(f"an eigenvalue falls outside the bracket [{lo}, {hi}]")
+    width_log2 = (hi - lo).bit_length()
+    roots: list[float] = []
+    for k in range(n):
+        if k < at_most_lo:
+            roots.append(float(lo))
+            continue
+        num, step = lo << scale, 1 << (width_log2 + scale)
+        while step > 1:
+            step >>= 1
+            below, at_most = oracle._count(poly, num + step, scale)
+            if below <= k:
+                num += step
+                if k < at_most:
+                    roots.append(num / (1 << scale))
+                    break
+        else:
+            roots.append((2 * num + 1) / (2 << scale))
+    return roots
 
 
 def symmetric_block(lap_lift: np.ndarray) -> np.ndarray:

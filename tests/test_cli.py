@@ -381,27 +381,31 @@ def test_run_sweep_is_deterministic():
     assert a == b
 
 
+def run_module(*argv):
+    """``python -m loopspec.cli`` in a child process that imports the same
+    loopspec as this one, installed or not."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "loopspec.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def test_console_script_round_trip(tmp_path):
     """End-to-end through the real process boundary."""
     path = tmp_path / "worked.el"
     path.write_text(WORKED)
-    proc = subprocess.run(
-        [sys.executable, "-m", "loopspec.cli", "verify", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("verify", str(path))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert all(c["pass"] for c in doc["checks"])
 
 
 def test_usage_error_exits_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "loopspec.cli", "frobnicate"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
+    assert run_module("frobnicate").returncode == 2
 
 
 @st.composite

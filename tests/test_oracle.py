@@ -15,11 +15,12 @@ from loopspec import (
     graph_from_edges,
     is_pseudo_connected,
     laplacian_of,
+    oracle,
     random_graph,
 )
 from loopspec.graphs import connected_components
 from loopspec.oracle import RETRY_CAP, _meets
-from builders import cycle_graph
+from builders import cycle_graph, reference_charpoly_eigenvalues
 
 
 # --- generator config ---
@@ -197,8 +198,9 @@ def test_oracle_input_validation():
         charpoly_eigenvalues(np.eye(7, dtype=int))
     with pytest.raises(ValueError, match="symmetric"):
         charpoly_eigenvalues(np.array([[1, 2], [0, 1]]))
-    with pytest.raises(ValueError, match="integer"):
-        charpoly_eigenvalues(np.array([[0.5]]))
+    for bad in ([[0.5]], [[np.inf]], [[-np.inf, 1], [1, 0]], [[np.nan]]):
+        with pytest.raises(ValueError, match="integer"):
+            charpoly_eigenvalues(np.array(bad))
 
 
 def test_oracle_detects_roots_outside_bracket():
@@ -245,6 +247,53 @@ def test_oracle_matches_lapack_or_rejects_out_of_bracket(m):
         assert ref[0] < -1 + 1e-9 or ref[-1] > 2 * n + 2 - 1e-9
         return
     assert roots == pytest.approx(ref.tolist(), abs=1e-9)
+
+
+def _outcome(f, m):
+    try:
+        return f(m)
+    except (ValueError, OracleError) as e:
+        return type(e), str(e)
+
+
+@given(symmetric_integer_matrices())
+@settings(max_examples=150, deadline=None)
+def test_oracle_equals_frozen_reference_on_symmetric_matrices(m):
+    # equal lists, or the same error with the same message
+    assert _outcome(charpoly_eigenvalues, m) == _outcome(reference_charpoly_eigenvalues, m)
+
+
+def _seeded_graphs():
+    for n in (5, 6):
+        for i, p_edge in enumerate([0.2, 0.4, 0.6, 0.8, 1.0] * 8):
+            yield laplacian_of(random_graph(GeneratorConfig(n, p_edge, 0.3, 100 * n + i)))
+    # a repeated irrational root of multiplicity 3: three copies of [[2,-1],[-1,1]]
+    yield np.kron(np.eye(3, dtype=int), np.array([[2, -1], [-1, 1]]))
+
+
+def test_oracle_equals_frozen_reference_on_seeded_graphs():
+    for m in _seeded_graphs():
+        assert charpoly_eigenvalues(m) == reference_charpoly_eigenvalues(m)
+
+
+def test_oracle_equals_frozen_reference_on_criterion_6_with_fewer_counts(monkeypatch):
+    """All 1098 graphs with n <= 4 give lists equal to the count-only
+    reference, with at least 5x fewer Descartes counts: a return to counting
+    at every bisection point fails here."""
+    calls = [0]
+    count = oracle._count
+
+    def counted(*args):
+        calls[0] += 1
+        return count(*args)
+
+    monkeypatch.setattr(oracle, "_count", counted)
+    laps = [laplacian_of(g) for n in range(1, 5) for g in enumerate_graphs(n)]
+    assert len(laps) == 1098
+    got = [charpoly_eigenvalues(lap) for lap in laps]
+    new_calls, calls[0] = calls[0], 0
+    assert got == [reference_charpoly_eigenvalues(lap) for lap in laps]
+    assert 5 * new_calls <= calls[0]
 
 
 def test_oracle_agrees_with_solver_on_all_tiny_graphs():

@@ -92,6 +92,10 @@ def test_input_validation():
         eigen_sym(np.ones((2, 3)))
     with pytest.raises(ValueError, match="symmetric"):
         eigen_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # inf and NaN entries, and finite entries whose Frobenius norm overflows
+    for bad in ([[np.inf, 1.0], [1.0, 0.0]], [[np.nan]], [[1e300, 1e300], [1e300, 0.0]]):
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            eigen_sym(np.array(bad))
 
 
 def test_input_matrix_is_not_mutated():
