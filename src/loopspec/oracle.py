@@ -201,21 +201,20 @@ def _as_integer_matrix(m) -> list[list[int]]:
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.dtype.kind in "fc":
-        # before the symmetry test, which NaN fails, and int(), which inf fails
-        bad = arr[~np.isfinite(arr)]
-        if bad.size:
-            raise ValueError(f"matrix entries must be integers, got {bad[0].item()!r}")
-    if not np.array_equal(arr, arr.T):
-        raise ValueError("matrix is not symmetric")
     out: list[list[int]] = []
     for row in arr.tolist():
         ints = []
         for v in row:
-            if v != int(v):
+            try:
+                iv = int(v)
+            except (OverflowError, TypeError, ValueError):  # inf, complex, NaN
+                iv = None
+            if iv is None or v != iv:
                 raise ValueError(f"matrix entries must be integers, got {v!r}")
-            ints.append(int(v))
+            ints.append(iv)
         out.append(ints)
+    if out != [list(col) for col in zip(*out)]:
+        raise ValueError("matrix is not symmetric")
     return out
 
 

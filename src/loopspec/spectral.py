@@ -114,13 +114,17 @@ def eigen_sym(matrix: np.ndarray) -> Spectrum:
     off-diagonal norm is read from its upper triangle.
 
     Raises ``ValueError`` for non-square or (exactly) non-symmetric input,
-    and for input with an infinite or NaN entry or whose Frobenius norm
-    overflows to infinity, where the stopping threshold would be meaningless.
+    and for input with an infinite or NaN entry, an entry with no float64
+    value, or a Frobenius norm that overflows to infinity, where the stopping
+    threshold would be meaningless.
     """
     raw = np.asarray(matrix)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {raw.shape}")
-    m = raw.astype(np.float64)
+    try:
+        m = raw.astype(np.float64)
+    except (OverflowError, TypeError) as exc:  # object entries: 10**400, None
+        raise ValueError(f"matrix has an entry with no finite float64 value ({exc})") from exc
     fro = float(np.linalg.norm(m))
     if not math.isfinite(fro):  # before the symmetry test, which NaN fails
         raise ValueError(f"matrix has a non-finite entry or Frobenius norm ({fro})")
@@ -331,7 +335,7 @@ def _mirror_certificate(lap_lift: np.ndarray, lap: np.ndarray) -> bool:
     n = lap.shape[0]
     perm = np.r_[n + 1 : 2 * n + 1, n, :n]
     return bool(
-        np.array_equal(lap_lift[np.ix_(perm, perm)], lap_lift)
+        np.array_equal(lap_lift.take(perm, 0).take(perm, 1), lap_lift)
         and np.array_equal(lap_lift[:n, :n] - lap_lift[:n, n + 1 :], lap)
     )
 
@@ -345,13 +349,17 @@ def _lifted_top(lap_lift: np.ndarray, spec: Spectrum) -> float:
     f >= 0 at the bracket's top, max(lambda_N, d) + ||z||. S's leading block is
     L(G) + B, B cross-copy: zero row sums of a loopless lift and the exact
     certificate force B = 0, and where the certificate fails, eq6 fails anyway.
+    f is evaluated on Python floats, cheaper at these orders than numpy
+    calls, and summed by ``math.fsum``, which rounds correctly and so gives
+    the same float on every Python. mid > lambda_N, so no term divides by 0.
     """
     lam, n = spec.eigenvalues, spec.eigenvalues.size
     z2 = 2.0 * (spec.eigenvectors.T @ lap_lift[:n, n]) ** 2
     lo, d = float(lam[-1]), float(lap_lift[n, n])
     hi = max(lo, d) + math.sqrt(float(z2.sum()))
+    terms = list(zip(z2.tolist(), lam.tolist()))
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if mid - d - float(np.sum(z2 / (mid - lam))) < 0.0:
+        if mid - d - math.fsum([z / (mid - x) for z, x in terms]) < 0.0:
             lo = mid
         else:
             hi = mid

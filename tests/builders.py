@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from loopspec import SOLVER_TOL, Graph, graph_from_edges, oracle
 
+# Criterion 3's campaign seed; criteria 4 and 7 draw from SWEEP_SEED + 1, + 2.
+SWEEP_SEED = 20260817
+
 
 def path_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, i + 1) for i in range(1, n)])
@@ -147,6 +150,23 @@ def reference_charpoly_eigenvalues(m) -> list[float]:
         else:
             roots.append((2 * num + 1) / (2 << scale))
     return roots
+
+
+def reference_lifted_top(lap_lift: np.ndarray, spec) -> float:
+    """Frozen copy of the numpy bisection on S's secular equation that
+    ``spectral._lifted_top`` replaced: the same bracket, midpoints and
+    stopping rule, with f(mu) summed by ``np.sum`` over float64 arrays.
+    The Python-float version must stay within a few ulps of it."""
+    lam, n = spec.eigenvalues, spec.eigenvalues.size
+    z2 = 2.0 * (spec.eigenvectors.T @ lap_lift[:n, n]) ** 2
+    lo, d = float(lam[-1]), float(lap_lift[n, n])
+    hi = max(lo, d) + math.sqrt(float(z2.sum()))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid - d - float(np.sum(z2 / (mid - lam))) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def symmetric_block(lap_lift: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ from loopspec import (
 )
 from loopspec.cli import run_sweep
 from builders import (
+    SWEEP_SEED,
     cycle_graph,
     degree,
     degree_adjacency,
@@ -49,7 +50,6 @@ from builders import (
 MATCH_TOL = 1e-8
 FORM_FLOOR = -1e-10
 RESIDUAL_TOL = 1e-10
-SWEEP_SEED = 20260817
 
 WORKED_EDGES = [(1, 1), (1, 2)]
 WORKED_SPECTRUM = [0.381966011, 2.618033989]

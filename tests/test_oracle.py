@@ -201,6 +201,10 @@ def test_oracle_input_validation():
     for bad in ([[0.5]], [[np.inf]], [[-np.inf, 1], [1, 0]], [[np.nan]]):
         with pytest.raises(ValueError, match="integer"):
             charpoly_eigenvalues(np.array(bad))
+    # object arrays: a big int beside inf, and NaN, which fails == itself
+    for bad in ([[10**30, math.inf], [math.inf, 0]], [[math.nan]]):
+        with pytest.raises(ValueError, match="integer"):
+            charpoly_eigenvalues(np.array(bad, dtype=object))
 
 
 def test_oracle_detects_roots_outside_bracket():

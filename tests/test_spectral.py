@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import loopspec.cli as cli
 import loopspec.lifting as lifting
 import loopspec.spectral as spectral
 from loopspec import (
@@ -13,6 +14,7 @@ from loopspec import (
     Graph,
     JacobiConvergenceError,
     LiftedGraph,
+    MATCH_TOL,
     SOLVER_TOL,
     Spectrum,
     bound_rows,
@@ -28,12 +30,15 @@ from loopspec import (
     spectrum_subset,
     verify_all,
 )
+from loopspec.cli import run_sweep
 from builders import (
+    SWEEP_SEED,
     complete_graph,
     cycle_graph,
     graphs,
     path_graph,
     reference_jacobi,
+    reference_lifted_top,
     residual,
     symmetric_block,
     with_all_loops,
@@ -96,6 +101,9 @@ def test_input_validation():
     for bad in ([[np.inf, 1.0], [1.0, 0.0]], [[np.nan]], [[1e300, 1e300], [1e300, 0.0]]):
         with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
             eigen_sym(np.array(bad))
+    # an object entry that float64 cannot hold
+    with pytest.raises(ValueError, match="float64"):
+        eigen_sym(np.array([[10**400]], dtype=object))
 
 
 def test_input_matrix_is_not_mutated():
@@ -384,9 +392,14 @@ def test_spectral_radius_of_empty_spectrum_is_zero():
 
 
 def _lifted_top_cases():
-    yield Graph(1)
+    yield from _loopless_lifted_top_cases()
     yield graph_from_edges(1, [(1, 1)])
-    yield from (path_graph(5), cycle_graph(6), graph_from_edges(4, [(1, 2), (3, 4)]))
+    # a loopless K_5 beside the path 6-7-8 looped at 8: L(G)'s top eigenvalue 5
+    # has eigenvectors on K_5, orthogonal to the loop indicator, so its z_i are
+    # 0 while the path's are not, and lambda_max(S) = lambda_N = 5
+    yield graph_from_edges(
+        8, [(i, j) for i in range(1, 6) for j in range(i + 1, 6)] + [(6, 7), (7, 8), (8, 8)]
+    )
     # every loop on K_n: L(G) = (n+1) I - J has a top eigenvalue of
     # multiplicity n-1, and lambda_max(S) = 2n+1 lies above it
     yield from (with_all_loops(complete_graph(n)) for n in range(2, 7))
@@ -396,12 +409,49 @@ def _lifted_top_cases():
         yield random_graph(GeneratorConfig(n, 0.4, 0.3, 3000 * n, require="pseudo_connected"))
 
 
+def _loopless_lifted_top_cases():
+    yield Graph(1)
+    yield from (path_graph(5), cycle_graph(6), graph_from_edges(4, [(1, 2), (3, 4)]))
+
+
 def test_lifted_top_is_the_largest_eigenvalue_of_s():
     for g in _lifted_top_cases():
         lap_lift = laplacian_of(lift(g).lifted)
         top = spectral._lifted_top(lap_lift, eigen_sym(laplacian_of(g)))
         reference = float(eigen_sym(symmetric_block(lap_lift)).eigenvalues[-1])
         assert abs(top - reference) <= 1e-12 * reference, (g, top, reference)
+
+
+def test_lifted_top_of_a_loopless_graph_is_lambda_n_exactly():
+    # z = 0 and d = 0 close the bracket at lambda_N before the first midpoint
+    for g in _loopless_lifted_top_cases():
+        spec = eigen_sym(laplacian_of(g))
+        top = spectral._lifted_top(laplacian_of(lift(g).lifted), spec)
+        assert top == spec.eigenvalues[-1], (g, top)
+
+
+def test_lifted_top_stays_within_4_ulps_of_the_numpy_bisection(monkeypatch):
+    # criterion 2's graphs and the first 200 of criterion 3's, drawn by run_sweep
+    drawn = []
+    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: drawn.append(g))
+    run_sweep(mode="exhaustive", n_max=4)
+    run_sweep(
+        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
+    )
+    assert len(drawn) == 1098 + 1000
+    for g in drawn[: 1098 + 200]:
+        lap_lift, spec = laplacian_of(lift(g).lifted), eigen_sym(laplacian_of(g))
+        top, reference = spectral._lifted_top(lap_lift, spec), reference_lifted_top(lap_lift, spec)
+        assert abs(top - reference) <= 4 * math.ulp(reference), (g, top, reference)
+
+
+def test_lifted_tolerance_of_the_worked_example_is_the_closed_form():
+    # lambda_max(S) of the worked example is (5 + sqrt5)/2, the top of the
+    # path on 5 vertices; math.fsum makes the same float on every Python
+    report = verify_all(graph_from_edges(2, [(1, 1), (1, 2)]))
+    scaled = report.tolerances["match_tol_scaled_lifted"] / MATCH_TOL
+    closed = (5 + math.sqrt(5)) / 2
+    assert abs(scaled - closed) <= 2 * math.ulp(closed), (scaled, closed)
 
 
 def test_verify_all_solves_no_matrix_of_the_lifted_order(monkeypatch):
