@@ -31,7 +31,6 @@ from .oracle import (
 )
 from .spectral import (
     CheckResult,
-    JACOBI_MAX_SWEEPS,
     JacobiConvergenceError,
     MATCH_TOL,
     POSITIVITY_TOL,
@@ -73,7 +72,6 @@ __all__ = [
     "enumerate_graphs",
     "random_graph",
     "CheckResult",
-    "JACOBI_MAX_SWEEPS",
     "JacobiConvergenceError",
     "MATCH_TOL",
     "POSITIVITY_TOL",

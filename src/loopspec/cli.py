@@ -15,6 +15,7 @@ default eigenvalue match tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -311,6 +312,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return _EXIT_OK if not result.failures else _EXIT_CHECK_FAILED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopspec",

@@ -41,7 +41,7 @@ __all__ = [
 
 RETRY_CAP = 10_000
 MAX_ENUM_VERTICES = 5
-MAX_ORACLE_ORDER = 6
+MAX_ORACLE_ORDER = 30
 
 # Bisection points are num / 2^_SCALE, so a final interval is 2^-40 (about
 # 9.1e-13) wide.

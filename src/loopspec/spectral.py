@@ -1,11 +1,12 @@
 """Dense symmetric eigensolver and the spectral claim verifiers.
 
-The solver is a cyclic Jacobi iteration: deterministic, self-contained, and
-easy to account for numerically, which is all that desk-scale Laplacians
-(order <= a few hundred) need. On top of it sit the closed-form bounds, the
-positivity test for pseudo-connected Laplacians, the lifted-spectrum
-inclusion check, and ``verify_all``, which runs every claim applicable to a
-graph and returns a structured report.
+The solver is LAPACK's symmetric driver through ``np.linalg.eigh``; the
+cyclic Jacobi kernel it replaced survives in the tests as a second float
+route, and the exact charpoly oracle (:mod:`loopspec.oracle`) as a third.
+On top of it sit the closed-form bounds, the positivity test for
+pseudo-connected Laplacians, the lifted-spectrum inclusion check, and
+``verify_all``, which runs every claim applicable to a graph and returns a
+structured report.
 
 The lifted Laplacian LL is never solved whole: its mirror split (see
 :mod:`loopspec.lifting`) gives spec(LL) = spec(L(G)) U spec(S). ``verify_all``
@@ -33,7 +34,6 @@ Check identifiers used in reports (fixed wire format):
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,7 +48,6 @@ __all__ = [
     "SOLVER_TOL",
     "MATCH_TOL",
     "POSITIVITY_TOL",
-    "JACOBI_MAX_SWEEPS",
     "JacobiConvergenceError",
     "Spectrum",
     "SubsetMatch",
@@ -62,31 +61,26 @@ __all__ = [
     "verify_all",
 ]
 
-SOLVER_TOL = 1e-12      # relative off-diagonal stopping threshold
+SOLVER_TOL = 1e-12      # eigenvalue accuracy eigen_sym is tested to, relative to ||M||_F
 MATCH_TOL = 1e-8        # absolute eigenvalue match tolerance, scaled by max(1, rho)
 POSITIVITY_TOL = 1e-8   # positive-definiteness threshold, scaled by max(1, rho)
-JACOBI_MAX_SWEEPS = 50
 
 
 class JacobiConvergenceError(RuntimeError):
-    """The Jacobi sweep cap was reached before the off-diagonal norm converged."""
+    """The eigensolver did not converge. The name dates from the Jacobi
+    solver and is kept for the callers that catch it: ``cli.main``,
+    ``cli._verify_one`` and ``perfbench/run.py``, which counts it as a
+    program error."""
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition of a symmetric matrix.
-
-    ``eigenvalues`` are ascending; column j of ``eigenvectors`` pairs with
-    eigenvalue j. ``sweeps`` and ``rotations`` count the Jacobi sweeps run and the
-    rotations applied (skipped pairs do not count); ``off_norm`` is the
-    off-diagonal Frobenius norm the solver stopped at.
-    """
+    """Full eigendecomposition of a symmetric matrix: ``eigenvalues``
+    ascending, and column j of the orthonormal ``eigenvectors`` paired with
+    eigenvalue j."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    sweeps: int
-    rotations: int
-    off_norm: float
 
     @property
     def spectral_radius(self) -> float:
@@ -94,87 +88,38 @@ class Spectrum:
 
 
 def eigen_sym(matrix: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a real symmetric matrix by LAPACK's symmetric
+    driver, ``np.linalg.eigh`` (Anderson et al., *LAPACK Users' Guide*).
 
-    Sweeps rotate every off-diagonal pair (p, q) in a fixed row-major order,
-    so the result is deterministic for a given input. Iteration stops once
-    the off-diagonal Frobenius norm drops to ``SOLVER_TOL`` times the
-    Frobenius norm of the input. Failure to converge within the sweep cap
-    raises :class:`JacobiConvergenceError` rather than returning a partial
-    answer.
+    ``eigh`` reads one triangle only, so the input must be exactly symmetric;
+    any other matrix would be solved as a different one. Nothing downstream
+    depends on how the eigenpairs were found: ``verify_all`` certifies the
+    lift from their actual residual.
 
-    The working matrix ``a`` and the transposed eigenvector accumulator
-    ``v^T`` share one n x 2n array ``w = [a | v^T]``, so one elementwise
-    update of rows p and q of ``w`` rotates the rows of ``a`` and the columns
-    of ``v`` together. A rotation allocates nothing: c and s are passed as
-    0-d arrays and its four products go into rows preallocated per solve,
-    so it stays bitwise equal to the plain elementwise rule. Rows p and q of
-    ``a`` are then mirrored into its columns p and q and the 2x2 block is
-    set in closed form, so ``a`` stays exactly symmetric and the
-    off-diagonal norm is read from its upper triangle.
-
-    Raises ``ValueError`` for non-square or (exactly) non-symmetric input,
-    and for input with an infinite or NaN entry, an entry with no float64
-    value, or a Frobenius norm that overflows to infinity, where the stopping
-    threshold would be meaningless.
+    Raises ``ValueError`` for non-square, complex or (exactly) non-symmetric
+    input, and for input with an infinite or NaN entry, an entry with no
+    float64 value, or a Frobenius norm that overflows to infinity. A LAPACK
+    failure to converge raises :class:`JacobiConvergenceError`.
     """
     raw = np.asarray(matrix)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {raw.shape}")
+    if np.iscomplexobj(raw):  # astype would drop the imaginary part
+        raise ValueError(f"expected a real matrix, got complex dtype {raw.dtype}")
     try:
         m = raw.astype(np.float64)
-    except (OverflowError, TypeError) as exc:  # object entries: 10**400, None
+    except (OverflowError, TypeError) as exc:  # object entries: 10**400, None, 1j
         raise ValueError(f"matrix has an entry with no finite float64 value ({exc})") from exc
     fro = float(np.linalg.norm(m))
     if not math.isfinite(fro):  # before the symmetry test, which NaN fails
         raise ValueError(f"matrix has a non-finite entry or Frobenius norm ({fro})")
     if not np.array_equal(raw, raw.T):
         raise ValueError("matrix is not symmetric")
-    n = m.shape[0]
-    w = np.concatenate((m, np.eye(n)), axis=1)  # [a | v^T]; its diagonal is a's
-    sweeps, rotations, off = 0, 0, 0.0
-    if fro > 0.0 and n > 1:
-        threshold = SOLVER_TOL * fro
-        # Pairs below `skip` contribute at most threshold^2/8 to the squared
-        # off-norm in total, so skipping them cannot stall the stopping test.
-        skip = threshold / (2.0 * n)
-        a, upper = w[:, :n], ~np.tri(n, dtype=bool)  # upper: a's strict upper triangle
-        rows, heads, cols = list(w), list(a), [w[:, j] for j in range(n)]
-        c_, s_ = np.empty(()), np.empty(())
-        cp, sq, sp, cq = np.empty((4, 2 * n))
-        while (off := math.sqrt(2.0) * float(np.linalg.norm(a[upper]))) > threshold:
-            if sweeps >= JACOBI_MAX_SWEEPS:
-                raise JacobiConvergenceError(
-                    f"no convergence after {JACOBI_MAX_SWEEPS} sweeps "
-                    f"(off-diagonal norm {off:.3e}, threshold {threshold:.3e})"
-                )
-            for p, q in itertools.combinations(range(n), 2):
-                wp, wq = rows[p], rows[q]
-                apq = wp.item(q)
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = wp.item(p), wq.item(q)
-                theta = (aqq - app) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                c_[()], s_[()] = c, t * c
-                # All four products are formed before either row is written.
-                np.multiply(wp, c_, cp)
-                np.multiply(wq, s_, sq)
-                np.multiply(wp, s_, sp)
-                np.multiply(wq, c_, cq)
-                np.subtract(cp, sq, wp)
-                np.add(sp, cq, wq)
-                cols[p][:], cols[q][:] = heads[p], heads[q]
-                wp[p], wq[q] = app - t * apq, aqq + t * apq
-                wp[q] = wq[p] = 0.0
-                rotations += 1
-            sweeps += 1
-    order = np.argsort(np.diagonal(w), kind="stable")
-    values = np.diagonal(w)[order].copy()
-    return Spectrum(values, w[order, n:].T, sweeps, rotations, off)
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise JacobiConvergenceError(f"eigh did not converge ({exc})") from exc
+    return Spectrum(values, vectors)
 
 
 def fiedler_lower_bound(n: int) -> float:

@@ -9,7 +9,7 @@ Criteria:
 4. quadratic-form positivity along the mean/fluctuation decomposition
 5. the closed-form bounds are attained by their witness families, and the
    lift's own eq2 bound is attained by end-looped paths
-6. the Jacobi solver agrees with the exact charpoly oracle everywhere small
+6. the LAPACK solver agrees with the exact charpoly oracle everywhere small
 7. structural identities: Gram assembly, lifted size, middle degree, and
    the exact mirror split of the lifted Laplacian
 """

@@ -8,11 +8,11 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import loopspec.spectral as spectral
 from loopspec import (
     GeneratorConfig,
     cli,
@@ -350,9 +350,17 @@ def test_sweep_bad_range(capsys):
 
 
 def test_sweep_records_solver_errors_and_goes_on(monkeypatch):
-    # With no sweeps allowed, only graphs whose Laplacian is already diagonal
-    # get through the solver: those without a non-loop edge.
-    monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 0)
+    # An eigh that fails on any matrix with a nonzero off-diagonal entry lets
+    # through only graphs whose Laplacian is diagonal: those without a
+    # non-loop edge.
+    eigh = np.linalg.eigh
+
+    def failing_off_diagonal(m):
+        if np.any(m[~np.eye(len(m), dtype=bool)]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_off_diagonal)
 
     def has_nonloop_edge(g):
         return any(i != j for i, j in g.edges)
@@ -364,14 +372,14 @@ def test_sweep_records_solver_errors_and_goes_on(monkeypatch):
         (n, i) for n in (1, 2) for i, g in enumerate(enumerate_graphs(n)) if has_nonloop_edge(g)
     }
     for f in exhaustive.failures:
-        assert "0 sweeps" in f["error"] and "failed_checks" not in f
+        assert "did not converge" in f["error"] and "failed_checks" not in f
 
     sampled = run_sweep("random", n_max=4, samples=8, seed=5)
     assert sampled.total == 8 and sampled.failures
     assert sampled.passed + len(sampled.failures) == sampled.total
     for f in sampled.failures:
         assert has_nonloop_edge(random_graph(GeneratorConfig(**f["config"])))
-        assert "0 sweeps" in f["error"]
+        assert "did not converge" in f["error"]
     json.dumps(sampled.to_json_dict(), allow_nan=False)
 
 
@@ -406,6 +414,22 @@ def test_console_script_round_trip(tmp_path):
 
 def test_usage_error_exits_2():
     assert run_module("frobnicate").returncode == 2
+
+
+def test_parser_is_built_once_and_reused(worked_file, capsys):
+    # main reuses one parser per process; a usage error in between must not
+    # leave state behind that changes a later command's output or exit code
+    assert cli._build_parser() is cli._build_parser()
+    first = run_cli(capsys, "verify", worked_file)
+    with pytest.raises(SystemExit) as usage:
+        main(["verify"])
+    assert usage.value.code == 2
+    assert "path" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "analyze", "--format", "json", worked_file)
+    assert code == 0 and json.loads(out)["n"] == 2
+    second = run_cli(capsys, "verify", worked_file)
+    assert first == second
+    assert first[0] == 0 and json.loads(first[1])["graph"]["q"] == 1
 
 
 @st.composite

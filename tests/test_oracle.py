@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopspec import (
+    MATCH_TOL,
     GenerationError,
     GeneratorConfig,
     OracleError,
     charpoly_eigenvalues,
+    cli,
     eigen_sym,
     enumerate_graphs,
     graph_from_edges,
@@ -19,8 +21,9 @@ from loopspec import (
     random_graph,
 )
 from loopspec.graphs import connected_components
+from loopspec.cli import run_sweep
 from loopspec.oracle import RETRY_CAP, _meets
-from builders import cycle_graph, reference_charpoly_eigenvalues
+from builders import SWEEP_SEED, cycle_graph, reference_charpoly_eigenvalues
 
 
 # --- generator config ---
@@ -195,7 +198,7 @@ def test_oracle_repeated_irrational_eigenvalues():
 
 def test_oracle_input_validation():
     with pytest.raises(ValueError, match="order"):
-        charpoly_eigenvalues(np.eye(7, dtype=int))
+        charpoly_eigenvalues(np.eye(31, dtype=int))
     with pytest.raises(ValueError, match="symmetric"):
         charpoly_eigenvalues(np.array([[1, 2], [0, 1]]))
     for bad in ([[0.5]], [[np.inf]], [[-np.inf, 1], [1, 0]], [[np.nan]]):
@@ -308,3 +311,22 @@ def test_oracle_agrees_with_solver_on_all_tiny_graphs():
             solved = eigen_sym(lap).eigenvalues
             oracle = charpoly_eigenvalues(lap)
             assert max(abs(a - b) for a, b in zip(solved, oracle)) <= 1e-8
+
+
+def test_oracle_agrees_with_solver_at_every_order_a_campaign_verifies(monkeypatch):
+    """Criterion 3's 1000 graphs (n = 2..12), drawn by run_sweep as criterion
+    5 draws them, and one graph of each order 22..30, the orders of the
+    large-verify benchmark: the exact oracle shares no code with eigen_sym,
+    so every graph a campaign verifies is also decided by a second route."""
+    drawn = []
+    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: drawn.append(g))
+    run_sweep(
+        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
+    )
+    assert len(drawn) == 1000
+    drawn += [random_graph(GeneratorConfig(n, 0.4, 0.3, SWEEP_SEED + n)) for n in range(22, 31)]
+    for g in drawn:
+        lap = laplacian_of(g)
+        solved, exact = eigen_sym(lap).eigenvalues, charpoly_eigenvalues(lap)
+        gap = max(abs(a - b) for a, b in zip(solved, exact))
+        assert gap <= MATCH_TOL, (g, gap)

@@ -55,8 +55,6 @@ def test_worked_example_spectrum():
     lap = laplacian_of(g)
     spec = eigen_sym(lap)
     assert spec.eigenvalues == pytest.approx(GOLDEN_RATIO_PAIR, abs=1e-10)
-    assert (spec.sweeps, spec.rotations) == (1, 1)
-    assert spec.off_norm <= SOLVER_TOL * np.linalg.norm(lap)
 
 
 def test_diagonal_matrix_is_returned_sorted():
@@ -64,16 +62,11 @@ def test_diagonal_matrix_is_returned_sorted():
     spec = eigen_sym(m)
     assert spec.eigenvalues.tolist() == [-1.0, 2.0, 5.0]
     assert residual(m, spec) == 0.0
-    assert (spec.sweeps, spec.rotations, spec.off_norm) == (0, 0, 0.0)
 
 
 def test_one_rotation_diagonalizes_a_two_by_two():
     spec = eigen_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert spec.eigenvalues.tolist() == [1.0, 3.0]
-    assert (spec.sweeps, spec.rotations, spec.off_norm) == (1, 1, 0.0)
-    # the pairs with the isolated third row are skipped, not counted
-    padded = eigen_sym(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]))
-    assert (padded.sweeps, padded.rotations, padded.off_norm) == (1, 1, 0.0)
 
 
 def test_three_path_spectrum():
@@ -104,6 +97,10 @@ def test_input_validation():
     # an object entry that float64 cannot hold
     with pytest.raises(ValueError, match="float64"):
         eigen_sym(np.array([[10**400]], dtype=object))
+    # complex input, whose imaginary part a float64 cast would drop: this
+    # matrix has eigenvalues 1 +- i, not 1 and 1
+    with pytest.raises(ValueError, match="complex"):
+        eigen_sym(np.array([[1, 1j], [1j, 1]]))
 
 
 def test_input_matrix_is_not_mutated():
@@ -114,24 +111,39 @@ def test_input_matrix_is_not_mutated():
 
 
 def test_sweep_cap_is_enforced(monkeypatch):
-    monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 0)
-    with pytest.raises(JacobiConvergenceError, match="0 sweeps"):
+    # LAPACK's failure to converge surfaces as the error the CLI and the
+    # campaigns catch
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(JacobiConvergenceError, match="did not converge"):
         eigen_sym(laplacian_of(path_graph(3)))
 
 
-def _assert_bitwise_reference(m):
+def _assert_close_to_reference(m):
+    """``eigen_sym`` against the frozen Jacobi kernel, the second float
+    route: eigenvalues within SOLVER_TOL * ||M||_F of it, and a residual and
+    a loss of orthogonality within 16 n eps of LAPACK's backward error.
+
+    The ``test_bitwise_equal_to_reference_kernel_*`` names date from when
+    ``eigen_sym`` was that kernel; they keep their matrix sets."""
+    m = np.asarray(m, dtype=np.float64)
     spec = eigen_sym(m)
-    values, vectors = reference_jacobi(m)
-    assert np.array_equal(spec.eigenvalues, values)
-    assert np.array_equal(spec.eigenvectors, vectors)
+    values, _ = reference_jacobi(m)
+    n, fro, eps = len(m), float(np.linalg.norm(m)), float(np.finfo(np.float64).eps)
+    lam, v = spec.eigenvalues, spec.eigenvectors
+    assert np.abs(lam - values).max(initial=0.0) <= SOLVER_TOL * fro
+    assert np.linalg.norm(m @ v - v * lam) <= 16 * n * eps * fro
+    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 16 * n * eps
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bitwise_equal_to_reference_kernel_on_all_small_graphs(n):
     # every graph with n <= 4 (1098 in all) and its lift
     for g in enumerate_graphs(n):
-        _assert_bitwise_reference(laplacian_of(g))
-        _assert_bitwise_reference(laplacian_of(lift(g).lifted))
+        _assert_close_to_reference(laplacian_of(g))
+        _assert_close_to_reference(laplacian_of(lift(g).lifted))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -139,8 +151,8 @@ def test_bitwise_equal_to_reference_kernel_on_random_graphs(n):
     # criterion 3's orders; the lifts reach order 25
     for seed in range(3):
         g = random_graph(GeneratorConfig(n, 0.4, 0.3, 1000 * n + seed))
-        _assert_bitwise_reference(laplacian_of(g))
-        _assert_bitwise_reference(laplacian_of(lift(g).lifted))
+        _assert_close_to_reference(laplacian_of(g))
+        _assert_close_to_reference(laplacian_of(lift(g).lifted))
 
 
 @pytest.mark.parametrize("sizes", [range(2, 13), (22, 26, 30)])
@@ -161,7 +173,7 @@ def test_bitwise_equal_to_reference_kernel_on_what_verify_all_solves(monkeypatch
     assert [len(m) for m in solved] == list(sizes)
     assert not all(np.array_equal(m, np.round(m)) for m in blocks)
     for m in solved + blocks:
-        _assert_bitwise_reference(m)
+        _assert_close_to_reference(m)
 
 
 @st.composite
@@ -185,7 +197,7 @@ def float_symmetric(draw):
 @settings(deadline=None, max_examples=40)
 @given(float_symmetric())
 def test_bitwise_equal_to_reference_kernel_on_float_matrices(m):
-    _assert_bitwise_reference(m)
+    _assert_close_to_reference(m)
 
 
 # Orders up to 25, the largest lifted order criterion 3 solves (N = 12).
@@ -505,7 +517,7 @@ def test_a_perturbed_base_eigenvector_fails_the_lifted_claims(monkeypatch):
         spec = eigen_sym(matrix)
         vectors = spec.eigenvectors.copy()
         vectors[0, 0] += 1e-6
-        return Spectrum(spec.eigenvalues, vectors, spec.sweeps, spec.rotations, spec.off_norm)
+        return Spectrum(spec.eigenvalues, vectors)
 
     monkeypatch.setattr(spectral, "eigen_sym", perturbed)
     checks = {c.id: c for c in verify_all(_pseudo_connected_8()).checks}
