@@ -25,15 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import (
-    EdgeListError,
-    Graph,
-    _pseudo_connected,
-    connected_components,
-    read_edge_list,
-    write_edge_list,
-)
-from .laplacian import format_matrix, laplacian_of
+from .graphs import EdgeListError, Graph, read_edge_list, write_edge_list
+from .laplacian import format_matrix
 from .lifting import lift
 from .oracle import (
     MAX_ENUM_VERTICES,
@@ -42,13 +35,7 @@ from .oracle import (
     enumerate_graphs,
     random_graph,
 )
-from .spectral import (
-    JacobiConvergenceError,
-    MATCH_TOL,
-    bound_rows,
-    eigen_sym,
-    verify_all,
-)
+from .spectral import JacobiConvergenceError, MATCH_TOL, _solve_base, verify_all
 
 __all__ = ["MAX_DENSE_ORDER", "SweepResult", "main", "run_sweep"]
 
@@ -138,20 +125,16 @@ def _check_dense_order(source: str, order: int) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load(args.path)
     _check_dense_order(args.path, g.n)
-    lap = laplacian_of(g)
-    spectrum = eigen_sym(lap)
-    parts = connected_components(g)
-    pseudo = _pseudo_connected(g, parts)
+    lap, spectrum, components, pseudo, bounds = _solve_base(g)
     loopless = g.loop_count == 0
     algebraic = float(spectrum.eigenvalues[1]) if loopless and g.n >= 2 else None
-    bounds = bound_rows(g, spectrum.eigenvalues, parts.count == 1)
 
     if args.format == "json":
         _print_json(
             {
                 "n": g.n,
                 "q": g.loop_count,
-                "components": parts.count,
+                "components": components,
                 "pseudo_connected": pseudo,
                 "laplacian": lap.tolist(),
                 "eigenvalues": [float(v) for v in spectrum.eigenvalues],
@@ -163,7 +146,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     print(f"n: {g.n}")
     print(f"loops: {g.loop_count}")
-    print(f"components: {parts.count}")
+    print(f"components: {components}")
     print(f"pseudo-connected: {'yes' if pseudo else 'no'}")
     print("laplacian:")
     print(format_matrix(lap))

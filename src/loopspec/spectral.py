@@ -9,12 +9,14 @@ pseudo-connected Laplacians, the lifted-spectrum inclusion check, and
 structured report.
 
 The lifted Laplacian LL is never solved whole: its mirror split (see
-:mod:`loopspec.lifting`) gives spec(LL) = spec(L(G)) U spec(S). ``verify_all``
-checks that split exactly in integers and solves L(G) alone. By Kahan's
-theorem for the full-rank (2N+1) x N mirror basis X = [V; 0; -V]/sqrt2, N
-distinct eigenvalues of LL lie within ||LL X - X Lambda||_2 / sigma_min(X)
-of the base ones, and sigma_min(X)^2 >= 1 - ||X^T X - I||_F. eq6's margin is
-the lifted tolerance minus that certified gap (or the interval slack).
+:mod:`loopspec.lifting`) gives spec(LL) = spec(L(G)) U spec(S), S of order
+N + 1. ``verify_all`` checks that split exactly in integers, solves L(G), and
+takes lambda_max(S), which scales the lifted tolerances, from LAPACK's
+``eigvalsh`` on S. By Kahan's theorem for the full-rank (2N+1) x N mirror
+basis X = [V; 0; -V]/sqrt2, N distinct eigenvalues of LL lie within
+||LL X - X Lambda||_2 / sigma_min(X) of the base ones, and sigma_min(X)^2 >=
+1 - ||X^T X - I||_F. eq6's margin is the lifted tolerance minus that
+certified gap (or the interval slack).
 
 Check identifiers used in reports (fixed wire format):
 
@@ -285,30 +287,35 @@ def _mirror_certificate(lap_lift: np.ndarray, lap: np.ndarray) -> bool:
     )
 
 
-def _lifted_top(lap_lift: np.ndarray, spec: Spectrum) -> float:
-    """lambda_max of the lift's block S, without solving S. With c = LL[:n, n]
-    and d = LL[n, n], S is the arrowhead [[Lambda, z], [z^T, d]] in the basis
-    diag(V, 1), z = sqrt2 V^T c. f(mu) = mu - d - sum z_i^2 / (mu - lambda_i)
-    increases above lambda_N, where its roots are S's eigenvalues (the secular
-    equation, Golub 1973): lambda_max(S) is that root, or lambda_N if none, and
-    f >= 0 at the bracket's top, max(lambda_N, d) + ||z||. S's leading block is
-    L(G) + B, B cross-copy: zero row sums of a loopless lift and the exact
-    certificate force B = 0, and where the certificate fails, eq6 fails anyway.
-    f is evaluated on Python floats, cheaper at these orders than numpy
-    calls, and summed by ``math.fsum``, which rounds correctly and so gives
-    the same float on every Python. mid > lambda_N, so no term divides by 0.
+def _lifted_top(lap_lift: np.ndarray, lap: np.ndarray) -> float:
+    """lambda_max of the lift's block S = [[L(G), sqrt2 c], [sqrt2 c^T, d]],
+    c = LL[:n, n] and d = LL[n, n]: by the mirror split, lambda_max(LL). The
+    lift's own leading block of S is L(G) + 2B, B cross-copy; zero row sums
+    of a loopless lift and the exact certificate force B = 0, and where the
+    certificate fails, eq6 fails anyway. S is float64, finite and exactly
+    symmetric by construction, so it goes to LAPACK without ``eigen_sym``'s
+    input checks.
     """
-    lam, n = spec.eigenvalues, spec.eigenvalues.size
-    z2 = 2.0 * (spec.eigenvectors.T @ lap_lift[:n, n]) ** 2
-    lo, d = float(lam[-1]), float(lap_lift[n, n])
-    hi = max(lo, d) + math.sqrt(float(z2.sum()))
-    terms = list(zip(z2.tolist(), lam.tolist()))
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if mid - d - math.fsum([z / (mid - x) for z, x in terms]) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    n = lap.shape[0]
+    s = np.empty((n + 1, n + 1))
+    s[:n, :n] = lap
+    s[:n, n] = s[n, :n] = math.sqrt(2.0) * lap_lift[:n, n]
+    s[n, n] = lap_lift[n, n]
+    try:
+        return float(np.linalg.eigvalsh(s)[-1])
+    except np.linalg.LinAlgError as exc:
+        raise JacobiConvergenceError(f"eigvalsh did not converge ({exc})") from exc
+
+
+def _solve_base(g: Graph) -> tuple[np.ndarray, Spectrum, int, bool, list[dict]]:
+    """The stage ``analyze`` and ``verify_all`` share, of order N only:
+    L(G), its spectrum, the number of components, whether ``g`` is
+    pseudo-connected, and the closed-form bound rows."""
+    lap = laplacian_of(g)
+    spec = eigen_sym(lap)
+    parts = connected_components(g)
+    rows = bound_rows(g, spec.eigenvalues, parts.count == 1)
+    return lap, spec, parts.count, _pseudo_connected(g, parts), rows
 
 
 def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
@@ -323,8 +330,9 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     * ``eq7``   pseudo-connected graphs only
     * ``lift-eigvec`` every graph
 
-    Only L(G) is solved. Kahan's theorem for the full-rank mirror basis
-    X = [V; 0; -V]/sqrt2 puts n distinct lifted eigenvalues within
+    L(G) is solved, and the eigenvalues of the lift's block S (order N + 1)
+    are computed; LL itself never is. Kahan's theorem for the full-rank
+    mirror basis X = [V; 0; -V]/sqrt2 puts n distinct lifted eigenvalues within
     ||R||_2 / sigma_min(X) of Lambda, R = LL X - X Lambda; as sigma_min(X)^2
     >= 1 - eta, eta = ||X^T X - I||_F, each is within ``gap = ||R||_F / sqrt(1 - eta)``.
     eq6 needs the exact mirror certificate and gap <= the lifted
@@ -332,10 +340,10 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
 
     Absolute tolerances are ``match_tol`` scaled by max(1, spectral radius)
     of the matrix each check concerns; for the lift, lambda_max of its block
-    S (:func:`_lifted_top`). Solver non-convergence propagates.
+    S (:func:`_lifted_top`). Solver non-convergence, of either solve,
+    propagates as :class:`JacobiConvergenceError`.
     """
-    lap = laplacian_of(g)
-    spec = eigen_sym(lap)
+    lap, spec, components, pseudo, rows = _solve_base(g)
     lap_lift = laplacian_of(lift(g).lifted)
     split_ok = _mirror_certificate(lap_lift, lap)
     v = spec.eigenvectors / math.sqrt(2.0)
@@ -344,10 +352,7 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     eta = float(np.linalg.norm(x.T @ x - np.eye(g.n)))
     gap = float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
 
-    parts = connected_components(g)
-    pseudo = _pseudo_connected(g, parts)
-
-    rho_lift = _lifted_top(lap_lift, spec)
+    rho_lift = _lifted_top(lap_lift, lap)
     tol_base = match_tol * max(1.0, spec.spectral_radius)
     tol_lift = match_tol * max(1.0, rho_lift)
     pos_base = POSITIVITY_TOL * max(1.0, spec.spectral_radius)
@@ -355,7 +360,6 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
 
     lam_min, lam_max = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
 
-    rows = bound_rows(g, spec.eigenvalues, parts.count == 1)
     checks = [CheckResult(r["id"], r["margin"] >= -tol_base, r["margin"]) for r in rows]
 
     if pseudo:
@@ -377,7 +381,7 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     return VerificationReport(
         n=g.n,
         loop_count=g.loop_count,
-        components=parts.count,
+        components=components,
         pseudo_connected=pseudo,
         checks=tuple(checks),
         tolerances={

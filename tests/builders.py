@@ -155,10 +155,12 @@ def reference_charpoly_eigenvalues(m) -> list[float]:
 
 
 def reference_lifted_top(lap_lift: np.ndarray, spec) -> float:
-    """Frozen copy of the numpy bisection on S's secular equation that
-    ``spectral._lifted_top`` replaced: the same bracket, midpoints and
-    stopping rule, with f(mu) summed by ``np.sum`` over float64 arrays.
-    The Python-float version must stay within a few ulps of it."""
+    """lambda_max of the lift's block S by bisection on its secular equation
+    (Golub 1973), from L(G)'s eigenpairs ``spec``: S is the arrowhead
+    [[Lambda, z], [z^T, d]] in the basis diag(V, 1), z = sqrt2 V^T c, and
+    f(mu) = mu - d - sum z_i^2 / (mu - lambda_i) increases above lambda_N to
+    S's top root (or none, and then lambda_N). A route to lambda_max(S)
+    independent of the ``eigvalsh`` call in ``spectral._lifted_top``."""
     lam, n = spec.eigenvalues, spec.eigenvalues.size
     z2 = 2.0 * (spec.eigenvectors.T @ lap_lift[:n, n]) ** 2
     lo, d = float(lam[-1]), float(lap_lift[n, n])

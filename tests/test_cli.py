@@ -21,6 +21,7 @@ from loopspec import (
     read_edge_list,
     verify_all,
 )
+import loopspec.spectral as spectral
 from loopspec.cli import main, run_sweep
 from loopspec.oracle import MAX_ENUM_VERTICES
 
@@ -127,8 +128,7 @@ def test_dense_order_cap_is_checked_before_allocation(
     tmp_path, capsys, monkeypatch, command, n, refused
 ):
     # The dense steps are stand-ins, so neither side of the cap allocates.
-    monkeypatch.setattr(cli, "laplacian_of", _reached)
-    monkeypatch.setattr(cli, "verify_all", _reached)
+    monkeypatch.setattr(spectral, "laplacian_of", _reached)
     path = tmp_path / "header.el"
     path.write_text(f"{n} 0\n")
     code, _, err = run_cli(capsys, command, str(path))
@@ -381,6 +381,28 @@ def test_sweep_records_solver_errors_and_goes_on(monkeypatch):
         assert has_nonloop_edge(random_graph(GeneratorConfig(**f["config"])))
         assert "did not converge" in f["error"]
     json.dumps(sampled.to_json_dict(), allow_nan=False)
+
+
+def test_sweep_records_errors_of_the_lifted_block_solve_and_goes_on(monkeypatch):
+    # An eigvalsh that fails whenever S has a nonzero border, that is on
+    # every graph with a loop, must fail those graphs only.
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing_bordered(s):
+        if np.any(s[:-1, -1]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(s)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_bordered)
+    result = run_sweep("exhaustive", n_max=3)
+    graphs = [(n, i, g) for n in (1, 2, 3) for i, g in enumerate(enumerate_graphs(n))]
+    looped = {(n, i) for n, i, g in graphs if g.loop_count}
+    assert result.total == len(graphs) and 0 < len(looped) < len(graphs)
+    assert {(f["n"], f["index"]) for f in result.failures} == looped
+    for f in result.failures:
+        assert "did not converge" in f["error"] and "failed_checks" not in f
+    assert result.passed == len(graphs) - len(looped)
+    assert result.passed + len(result.failures) == result.total
 
 
 def test_run_sweep_is_deterministic():

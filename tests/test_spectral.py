@@ -426,23 +426,31 @@ def _loopless_lifted_top_cases():
     yield from (path_graph(5), cycle_graph(6), graph_from_edges(4, [(1, 2), (3, 4)]))
 
 
+def _lifted_top_tol(n, top):
+    """Rounding allowed in lambda_max(S) of order n + 1, the form of the
+    16 n eps residual bounds on eigen_sym."""
+    return 16 * (n + 1) * np.finfo(float).eps * max(1.0, top)
+
+
 def test_lifted_top_is_the_largest_eigenvalue_of_s():
     for g in _lifted_top_cases():
         lap_lift = laplacian_of(lift(g).lifted)
-        top = spectral._lifted_top(lap_lift, eigen_sym(laplacian_of(g)))
+        top = spectral._lifted_top(lap_lift, laplacian_of(g))
         reference = float(eigen_sym(symmetric_block(lap_lift)).eigenvalues[-1])
         assert abs(top - reference) <= 1e-12 * reference, (g, top, reference)
 
 
-def test_lifted_top_of_a_loopless_graph_is_lambda_n_exactly():
-    # z = 0 and d = 0 close the bracket at lambda_N before the first midpoint
+def test_lifted_top_of_a_loopless_graph_is_lambda_n():
+    # S is L(G) beside a zero border and d = 0, so lambda_max(S) = lambda_N,
+    # up to rounding by the two LAPACK routes
     for g in _loopless_lifted_top_cases():
-        spec = eigen_sym(laplacian_of(g))
-        top = spectral._lifted_top(laplacian_of(lift(g).lifted), spec)
-        assert top == spec.eigenvalues[-1], (g, top)
+        lap = laplacian_of(g)
+        top = spectral._lifted_top(laplacian_of(lift(g).lifted), lap)
+        lam_n = eigen_sym(lap).eigenvalues[-1]
+        assert abs(top - lam_n) <= _lifted_top_tol(g.n, lam_n), (g, top, lam_n)
 
 
-def test_lifted_top_stays_within_4_ulps_of_the_numpy_bisection(monkeypatch):
+def test_lifted_top_stays_near_the_secular_bisection(monkeypatch):
     # criterion 2's graphs and the first 200 of criterion 3's, drawn by run_sweep
     drawn = []
     monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: drawn.append(g))
@@ -451,15 +459,19 @@ def test_lifted_top_stays_within_4_ulps_of_the_numpy_bisection(monkeypatch):
         mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
     )
     assert len(drawn) == 1098 + 1000
+    # the bisection on S's secular equation, on L(G)'s eigenpairs, is an
+    # independent route to lambda_max(S)
     for g in drawn[: 1098 + 200]:
-        lap_lift, spec = laplacian_of(lift(g).lifted), eigen_sym(laplacian_of(g))
-        top, reference = spectral._lifted_top(lap_lift, spec), reference_lifted_top(lap_lift, spec)
-        assert abs(top - reference) <= 4 * math.ulp(reference), (g, top, reference)
+        lap_lift, lap = laplacian_of(lift(g).lifted), laplacian_of(g)
+        top = spectral._lifted_top(lap_lift, lap)
+        reference = reference_lifted_top(lap_lift, eigen_sym(lap))
+        assert abs(top - reference) <= _lifted_top_tol(g.n, reference), (g, top, reference)
 
 
 def test_lifted_tolerance_of_the_worked_example_is_the_closed_form():
     # lambda_max(S) of the worked example is (5 + sqrt5)/2, the top of the
-    # path on 5 vertices; math.fsum makes the same float on every Python
+    # path on 5 vertices; the 2 ulps allow for the platform LAPACK's
+    # rounding in eigvalsh on S, of order 3
     report = verify_all(graph_from_edges(2, [(1, 1), (1, 2)]))
     scaled = report.tolerances["match_tol_scaled_lifted"] / MATCH_TOL
     closed = (5 + math.sqrt(5)) / 2
@@ -467,16 +479,22 @@ def test_lifted_tolerance_of_the_worked_example_is_the_closed_form():
 
 
 def test_verify_all_solves_no_matrix_of_the_lifted_order(monkeypatch):
-    orders = []
+    orders, value_orders = [], []
+    eigvalsh = np.linalg.eigvalsh
 
     def recording(matrix):
         orders.append(len(matrix))
         return eigen_sym(matrix)
 
+    def recording_values(matrix):
+        value_orders.append(len(matrix))
+        return eigvalsh(matrix)
+
     monkeypatch.setattr(spectral, "eigen_sym", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_values)
     g = random_graph(GeneratorConfig(9, 0.4, 0.3, seed=3))
     assert verify_all(g).passed
-    assert orders == [9]
+    assert (orders, value_orders) == ([9], [10])
 
 
 def _misrouted_spoke(g):
