@@ -246,14 +246,19 @@ def run_sweep(
     from its record alone without replaying the whole sweep.
 
     A graph whose eigensolve does not converge is recorded as a failure with
-    an ``error`` message instead of aborting the sweep. Raises
-    ``ValueError`` before verifying anything when an exhaustive sweep asks
-    for more than ``MAX_ENUM_VERTICES`` vertices.
+    an ``error`` message instead of aborting the sweep. Raises ``ValueError``
+    before verifying anything when an exhaustive sweep asks for more than
+    ``MAX_ENUM_VERTICES`` vertices, or a random one for an ``n_min`` outside
+    ``1..n_max`` or a negative ``samples``.
     """
     if mode == "exhaustive" and n_max > MAX_ENUM_VERTICES:
         raise ValueError(
             f"exhaustive sweeps are capped at n-max {MAX_ENUM_VERTICES}, got {n_max}"
         )
+    if mode != "exhaustive" and not 1 <= n_min <= n_max:
+        raise ValueError(f"n-min must lie in 1..n-max {n_max}, got {n_min}")
+    if mode != "exhaustive" and samples < 0:
+        raise ValueError(f"samples must not be negative, got {samples}")
     records: list[dict | None] = []
     if mode == "exhaustive":
         for n in range(1, n_max + 1):
@@ -278,8 +283,6 @@ def run_sweep(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.n_min > args.n_max:
-        raise ValueError(f"n-min {args.n_min} exceeds n-max {args.n_max}")
     _check_dense_order("--n-max", 2 * args.n_max + 1)
     result = run_sweep(
         mode=args.mode,

@@ -8,14 +8,12 @@ pseudo-connected Laplacians, the lifted-spectrum inclusion check, and
 ``verify_all``, which runs every claim applicable to a graph and returns a
 structured report.
 
-The lifted Laplacian LL is never solved whole: its mirror split (see
-:mod:`loopspec.lifting`) gives spec(LL) = spec(L(G)) U spec(S), S of order
-N + 1. ``verify_all`` checks that split exactly in integers, solves L(G), and
-takes lambda_max(S), which scales the lifted tolerances, from LAPACK's
-``eigvalsh`` on S. By Kahan's theorem for the full-rank (2N+1) x N mirror
-basis X = [V; 0; -V]/sqrt2, N distinct eigenvalues of LL lie within
-||LL X - X Lambda||_2 / sigma_min(X) of the base ones, and sigma_min(X)^2 >=
-1 - ||X^T X - I||_F. eq6's margin is the lifted tolerance minus that
+The lifted Laplacian LL is never solved whole and enters no matrix product:
+its mirror split (see :mod:`loopspec.lifting`) gives spec(LL) = spec(L(G)) U
+spec(S), S of order N + 1. ``verify_all`` checks that split exactly in
+integers, and the certificate carries L(G)'s residual to the lift. It solves
+L(G) and takes lambda_max(S), which scales the lifted tolerances, from
+LAPACK's ``eigvalsh`` on S. eq6's margin is the lifted tolerance minus the
 certified gap (or the interval slack).
 
 Check identifiers used in reports (fixed wire format):
@@ -331,12 +329,12 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     * ``lift-eigvec`` every graph
 
     L(G) is solved, and the eigenvalues of the lift's block S (order N + 1)
-    are computed; LL itself never is. Kahan's theorem for the full-rank
-    mirror basis X = [V; 0; -V]/sqrt2 puts n distinct lifted eigenvalues within
-    ||R||_2 / sigma_min(X) of Lambda, R = LL X - X Lambda; as sigma_min(X)^2
-    >= 1 - eta, eta = ||X^T X - I||_F, each is within ``gap = ||R||_F / sqrt(1 - eta)``.
-    eq6 needs the exact mirror certificate and gap <= the lifted
-    tolerance; eq7 needs lambda_min - gap above the lifted positivity threshold.
+    are computed; LL itself never is. The exact mirror certificate carries
+    L(G)'s residual R = L(G) V - V Lambda to the lift, and by Kahan's theorem
+    n distinct lifted eigenvalues lie within ``gap = ||R||_F / sqrt(1 - eta)``
+    of Lambda, eta = ||V^T V - I||_F; without the certificate, gap and the
+    lifted residuals are infinite. eq6 needs gap <= the lifted tolerance; eq7
+    needs lambda_min - gap above the lifted positivity threshold.
 
     Absolute tolerances are ``match_tol`` scaled by max(1, spectral radius)
     of the matrix each check concerns; for the lift, lambda_max of its block
@@ -345,12 +343,13 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     """
     lap, spec, components, pseudo, rows = _solve_base(g)
     lap_lift = laplacian_of(lift(g).lifted)
-    split_ok = _mirror_certificate(lap_lift, lap)
-    v = spec.eigenvectors / math.sqrt(2.0)
-    x = np.concatenate((v, np.zeros((1, g.n)), -v))
-    res = lap_lift @ x - x * spec.eigenvalues
-    eta = float(np.linalg.norm(x.T @ x - np.eye(g.n)))
-    gap = float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
+    vectors = spec.eigenvectors
+    res = lap @ vectors - vectors * spec.eigenvalues
+    eta = float(np.linalg.norm(vectors.T @ vectors - np.eye(g.n)))
+    gap = worst_res = math.inf
+    if _mirror_certificate(lap_lift, lap):  # res's column norms are then the lift's
+        worst_res = float(np.sqrt((res * res).sum(axis=0)).max())
+        gap = float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
 
     rho_lift = _lifted_top(lap_lift, lap)
     tol_base = match_tol * max(1.0, spec.spectral_radius)
@@ -368,14 +367,12 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
 
     interval_bound = 2.0 * _max_nonloop_degree(g) + 1.0
     margin6 = min(tol_lift - gap, interval_bound + tol_lift - lam_max)
-    checks.append(CheckResult("eq6", split_ok and margin6 >= 0.0, margin6))
+    checks.append(CheckResult("eq6", margin6 >= 0.0, margin6))
 
     if pseudo:
         margin = lam_min - gap - pos_lift
         checks.append(CheckResult("eq7", margin > 0.0, margin))
 
-    # Column j of res is the lifted residual of base eigenvector j.
-    worst_res = float(np.sqrt((res * res).sum(axis=0)).max())
     checks.append(CheckResult("lift-eigvec", worst_res <= tol_lift, tol_lift - worst_res))
 
     return VerificationReport(

@@ -7,7 +7,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from loopspec import Graph, graph_from_edges, oracle
+from loopspec import Graph, LiftedGraph, graph_from_edges, lift, oracle
 
 # Criterion 3's campaign seed; criteria 4 and 7 draw from SWEEP_SEED + 1, + 2.
 SWEEP_SEED = 20260817
@@ -171,6 +171,33 @@ def reference_lifted_top(lap_lift: np.ndarray, spec) -> float:
         else:
             hi = mid
     return hi
+
+
+def reference_lifted_residual(lap_lift: np.ndarray, spec) -> tuple[float, float]:
+    """Kahan's residual bound on the (2N+1) x N mirror basis X = [V; 0; -V]/sqrt2
+    of L(G)'s eigenpairs ``spec``, with a float product by the lifted Laplacian
+    LL: ``(gap, worst_res)``, gap = ||LL X - X Lambda||_F / sqrt(1 - ||X^T X -
+    I||_F) (inf once that norm reaches 1) and worst_res the largest column
+    norm of LL X - X Lambda. An independent route to the gap and the lifted
+    residuals that ``verify_all`` reads off L(G)'s own residual."""
+    n = spec.eigenvalues.size
+    v = spec.eigenvectors / math.sqrt(2.0)
+    x = np.concatenate((v, np.zeros((1, n)), -v))
+    res = lap_lift @ x - x * spec.eigenvalues
+    eta = float(np.linalg.norm(x.T @ x - np.eye(n)))
+    gap = float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
+    return gap, float(np.sqrt((res * res).sum(axis=0)).max())
+
+
+def misrouted_spoke(g: Graph) -> LiftedGraph:
+    """A lift whose spoke (middle, v + middle) lands on a loopless vertex w
+    of the second copy instead; ``g`` needs a loop and a loopless vertex."""
+    good = lift(g)
+    loops = g.self_loops()
+    mid, v = good.middle, loops[0]
+    w = next(u for u in range(1, g.n + 1) if u not in loops)
+    edges = (good.lifted.edges - {(mid, v + mid)}) | {(mid, w + mid)}
+    return LiftedGraph(Graph(good.lifted.n, edges), mid)
 
 
 def symmetric_block(lap_lift: np.ndarray) -> np.ndarray:

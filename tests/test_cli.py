@@ -24,6 +24,7 @@ from loopspec import (
 import loopspec.spectral as spectral
 from loopspec.cli import main, run_sweep
 from loopspec.oracle import MAX_ENUM_VERTICES
+from builders import misrouted_spoke
 
 WORKED = "2 2\n1 1\n1 2\n"
 
@@ -206,6 +207,19 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
+def test_verify_prints_a_failed_certificate_as_null_margins(worked_file, capsys, monkeypatch):
+    # Without the mirror certificate the lifted margins are -inf, which
+    # strict JSON carries as null.
+    monkeypatch.setattr(spectral, "lift", misrouted_spoke)
+    code, out, _ = run_cli(capsys, "verify", worked_file)
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out, parse_constant=_reject_constant)["checks"]}
+    for cid in ("eq6", "eq7", "lift-eigvec"):
+        assert checks[cid] == {"id": cid, "pass": False, "margin": None}
+    for cid in ("eq8", "lemma1"):
+        assert checks[cid]["pass"], checks[cid]
+
+
 def test_loopspec_tol_env_failure_path(worked_file, capsys, monkeypatch):
     monkeypatch.setenv("LOOPSPEC_TOL", "1e-300")
     code, out, _ = run_cli(capsys, "verify", worked_file)
@@ -341,12 +355,26 @@ def test_sweep_random_small(capsys):
     assert doc["passed"] + len(doc["failures"]) == doc["total"]
 
 
-def test_sweep_bad_range(capsys):
-    code, _, err = run_cli(
-        capsys, "sweep", "--mode", "random", "--n-max", "3", "--n-min", "9"
-    )
-    assert code == 2
-    assert "n-min" in err
+def test_sweep_bad_range(capsys, monkeypatch):
+    verified = []
+    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: verified.append(g))
+    for args, named in [
+        (("--n-min", "9"), "n-min"),
+        (("--n-min", "-2", "--samples", "5"), "n-min"),
+        (("--n-min", "0", "--samples", "50"), "n-min"),
+        (("--samples", "-3"), "samples"),
+    ]:
+        code, _, err = run_cli(capsys, "sweep", "--mode", "random", "--n-max", "3", *args)
+        assert code == 2, args
+        assert named in err, (args, err)
+    assert verified == []
+
+
+def test_exhaustive_sweep_ignores_n_min(capsys):
+    # --n-min is a random-mode option; its default 2 must not reject n-max 1
+    code, out, _ = run_cli(capsys, "sweep", "--mode", "exhaustive", "--n-max", "1")
+    assert code == 0
+    assert json.loads(out)["total"] == 2
 
 
 def test_sweep_records_solver_errors_and_goes_on(monkeypatch):

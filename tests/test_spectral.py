@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -36,8 +37,10 @@ from builders import (
     complete_graph,
     cycle_graph,
     graphs,
+    misrouted_spoke,
     path_graph,
     reference_jacobi,
+    reference_lifted_residual,
     reference_lifted_top,
     residual,
     symmetric_block,
@@ -450,22 +453,56 @@ def test_lifted_top_of_a_loopless_graph_is_lambda_n():
         assert abs(top - lam_n) <= _lifted_top_tol(g.n, lam_n), (g, top, lam_n)
 
 
-def test_lifted_top_stays_near_the_secular_bisection(monkeypatch):
-    # criterion 2's graphs and the first 200 of criterion 3's, drawn by run_sweep
+@functools.cache
+def _campaign_graphs():
+    """Criterion 2's 1098 graphs and criterion 3's 1000, as run_sweep draws
+    them."""
     drawn = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: drawn.append(g))
-    run_sweep(mode="exhaustive", n_max=4)
-    run_sweep(
-        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_verify_one", lambda g, match_tol, **origin: drawn.append(g))
+        run_sweep(mode="exhaustive", n_max=4)
+        run_sweep(
+            mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
+        )
     assert len(drawn) == 1098 + 1000
+    return tuple(drawn)
+
+
+def test_lifted_top_stays_near_the_secular_bisection():
     # the bisection on S's secular equation, on L(G)'s eigenpairs, is an
-    # independent route to lambda_max(S)
-    for g in drawn[: 1098 + 200]:
+    # independent route to lambda_max(S); criterion 2's graphs and the
+    # first 200 of criterion 3's
+    for g in _campaign_graphs()[: 1098 + 200]:
         lap_lift, lap = laplacian_of(lift(g).lifted), laplacian_of(g)
         top = spectral._lifted_top(lap_lift, lap)
         reference = reference_lifted_top(lap_lift, eigen_sym(lap))
         assert abs(top - reference) <= _lifted_top_tol(g.n, reference), (g, top, reference)
+
+
+def test_lifted_margins_stay_near_the_mirror_basis_residual():
+    # LL times the (2N+1) x N mirror basis is an independent route to the
+    # gap and the lifted residuals that verify_all reads off L(G)'s residual
+    large = tuple(
+        random_graph(GeneratorConfig(n, 0.4, 0.3, 3000 * n, require="pseudo_connected"))
+        for n in range(22, 31)
+    )
+    for g in _campaign_graphs() + large:
+        lap_lift, spec = laplacian_of(lift(g).lifted), eigen_sym(laplacian_of(g))
+        gap, worst_res = reference_lifted_residual(lap_lift, spec)
+        report = verify_all(g)
+        tol = report.tolerances["match_tol_scaled_lifted"]
+        lam_min, lam_max = spec.eigenvalues[0], spec.eigenvalues[-1]
+        interval = 2.0 * spectral._max_nonloop_degree(g) + 1.0 + tol - lam_max
+        expected = {
+            "eq6": min(tol - gap, interval),
+            "eq7": lam_min - gap - report.tolerances["positivity_threshold_lifted"],
+            "lift-eigvec": tol - worst_res,
+        }
+        bound = 16 * (2 * g.n + 1) * np.finfo(float).eps * max(1.0, lam_max)
+        lifted = [c for c in report.checks if c.id in expected]
+        assert len(lifted) == (3 if report.pseudo_connected else 2)
+        for c in lifted:
+            assert abs(c.margin - expected[c.id]) <= bound, (g, c, expected[c.id])
 
 
 def test_lifted_tolerance_of_the_worked_example_is_the_closed_form():
@@ -476,6 +513,15 @@ def test_lifted_tolerance_of_the_worked_example_is_the_closed_form():
     scaled = report.tolerances["match_tol_scaled_lifted"] / MATCH_TOL
     closed = (5 + math.sqrt(5)) / 2
     assert abs(scaled - closed) <= 2 * math.ulp(closed), (scaled, closed)
+
+
+class _NoProduct(np.ndarray):
+    """An integer matrix that refuses to enter a matrix product."""
+
+    def __matmul__(self, other):
+        raise AssertionError("a matrix product with the lifted Laplacian")
+
+    __rmatmul__ = __matmul__
 
 
 def test_verify_all_solves_no_matrix_of_the_lifted_order(monkeypatch):
@@ -490,22 +536,17 @@ def test_verify_all_solves_no_matrix_of_the_lifted_order(monkeypatch):
         value_orders.append(len(matrix))
         return eigvalsh(matrix)
 
+    g = random_graph(GeneratorConfig(9, 0.4, 0.3, seed=3))
+
+    def lifted_without_products(h):
+        lap = laplacian_of(h)
+        return lap.view(_NoProduct) if h.n == 2 * g.n + 1 else lap
+
     monkeypatch.setattr(spectral, "eigen_sym", recording)
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_values)
-    g = random_graph(GeneratorConfig(9, 0.4, 0.3, seed=3))
+    monkeypatch.setattr(spectral, "laplacian_of", lifted_without_products)
     assert verify_all(g).passed
     assert (orders, value_orders) == ([9], [10])
-
-
-def _misrouted_spoke(g):
-    """A lift whose spoke (middle, v + middle) lands on a loopless vertex w
-    of the second copy instead."""
-    good = lifting.lift(g)
-    loops = g.self_loops()
-    mid, v = good.middle, loops[0]
-    w = next(u for u in range(1, g.n + 1) if u not in loops)
-    edges = (good.lifted.edges - {(mid, v + mid)}) | {(mid, w + mid)}
-    return LiftedGraph(Graph(good.lifted.n, edges), mid)
 
 
 def _dropped_copy_edge(g):
@@ -515,15 +556,17 @@ def _dropped_copy_edge(g):
     return LiftedGraph(Graph(good.lifted.n, good.lifted.edges - {(i + mid, j + mid)}), mid)
 
 
-@pytest.mark.parametrize("bad_lift", [_misrouted_spoke, _dropped_copy_edge])
+@pytest.mark.parametrize(
+    "bad_lift", [misrouted_spoke, _dropped_copy_edge], ids=["_misrouted_spoke", "_dropped_copy_edge"]
+)
 def test_a_miswired_lift_fails_the_lifted_claims(monkeypatch, bad_lift):
     g = random_graph(GeneratorConfig(8, 0.4, 0.3, seed=11, require="pseudo_connected"))
     lap_lift = laplacian_of(bad_lift(g).lifted)
     assert not spectral._mirror_certificate(lap_lift, laplacian_of(g))
     monkeypatch.setattr(spectral, "lift", bad_lift)
     checks = {c.id: c for c in verify_all(g).checks}
-    for cid in ("eq6", "lift-eigvec"):
-        assert not checks[cid].passed and checks[cid].margin < 0.0, checks[cid]
+    for cid in ("eq6", "lift-eigvec", "eq7"):
+        assert not checks[cid].passed and checks[cid].margin == -math.inf, checks[cid]
     for cid in ("eq8", "lemma1"):
         assert checks[cid].passed, checks[cid]
 
