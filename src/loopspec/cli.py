@@ -247,18 +247,23 @@ def run_sweep(
 
     A graph whose eigensolve does not converge is recorded as a failure with
     an ``error`` message instead of aborting the sweep. Raises ``ValueError``
-    before verifying anything when an exhaustive sweep asks for more than
-    ``MAX_ENUM_VERTICES`` vertices, or a random one for an ``n_min`` outside
-    ``1..n_max`` or a negative ``samples``.
+    before verifying anything when an exhaustive sweep asks for an ``n_max``
+    outside ``1..MAX_ENUM_VERTICES``, or a random one for an ``n_min`` outside
+    ``1..n_max``, a negative ``samples`` or a ``p_edge`` or ``p_loop``
+    outside [0, 1].
     """
-    if mode == "exhaustive" and n_max > MAX_ENUM_VERTICES:
+    if mode == "exhaustive" and not 1 <= n_max <= MAX_ENUM_VERTICES:
         raise ValueError(
-            f"exhaustive sweeps are capped at n-max {MAX_ENUM_VERTICES}, got {n_max}"
+            f"exhaustive sweeps need n-max >= 1 and are capped at n-max "
+            f"{MAX_ENUM_VERTICES}, got {n_max}"
         )
-    if mode != "exhaustive" and not 1 <= n_min <= n_max:
-        raise ValueError(f"n-min must lie in 1..n-max {n_max}, got {n_min}")
-    if mode != "exhaustive" and samples < 0:
-        raise ValueError(f"samples must not be negative, got {samples}")
+    if mode != "exhaustive":
+        if not 1 <= n_min <= n_max:
+            raise ValueError(f"n-min must lie in 1..n-max {n_max}, got {n_min}")
+        if samples < 0:
+            raise ValueError(f"samples must not be negative, got {samples}")
+        # GeneratorConfig's own probability checks, before anything is drawn
+        GeneratorConfig(n=n_max, p_edge=p_edge, p_loop=p_loop, seed=0)
     records: list[dict | None] = []
     if mode == "exhaustive":
         for n in range(1, n_max + 1):

@@ -6,13 +6,14 @@ The oracle path is pure integer arithmetic: Faddeev-LeVerrier for the
 characteristic polynomial, then one counting rule. The polynomial of a
 symmetric matrix has only real roots, so Descartes' rule of signs applied to
 p(x + t) counts the eigenvalues above x exactly, with multiplicity, and
-bisection on that count pins down each eigenvalue. Once a bisection interval
-is known to hold a single simple root, the sign of p at the midpoint answers
-the same question as the count for O(n) work in place of O(n^2) (isolate,
-then refine: Collins & Akritas, 1976), so the points visited and the values
-returned do not change. Its only approximation is the final bisection
-width, so agreement with the floating-point solver is a real cross-check and
-not a tautology.
+bisection on that count isolates each eigenvalue. Once an interval is known
+to hold a single simple root, a safeguarded Newton iteration on the dyadic
+grid refines it for O(n) work per point in place of O(n^2) (isolate, then
+refine: Collins & Akritas, 1976). The points visited differ from those of
+bisection, but the value returned, fixed by the grid cell that holds the
+root, does not. Its only approximation is the final grid width, so
+agreement with the floating-point solver is a real cross-check and not a
+tautology.
 """
 
 from __future__ import annotations
@@ -159,19 +160,17 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 
 def _charpoly(entries: list[list[int]]) -> list[int]:
     """Coefficients of det(xI - M), ascending, by Faddeev-LeVerrier over the
-    integers: for an integer matrix every division by k is exact."""
+    integers: for an integer matrix every division by k is exact. The
+    products run on ``dtype=object`` arrays of Python ints, which numpy forms
+    with Python's own ``*`` and ``+``: exact at any size, and never in BLAS."""
     n = len(entries)
     coeffs = [0] * n + [1]
-    work = [row[:] for row in entries]
+    work = a = np.array(entries, dtype=object)
+    eye = np.identity(n, dtype=object)
     for k in range(1, n + 1):
         if k > 1:
-            for i in range(n):
-                work[i][i] += coeffs[n - k + 1]
-            work = [
-                [sum(entries[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        coeffs[n - k], rem = divmod(-sum(work[i][i] for i in range(n)), k)
+            work = a.dot(work + coeffs[n - k + 1] * eye)
+        coeffs[n - k], rem = divmod(-work.trace(), k)
         if rem:
             raise OracleError("characteristic polynomial came out non-integral")
     return coeffs
@@ -218,13 +217,48 @@ def _as_integer_matrix(m) -> list[list[int]]:
     return out
 
 
-def _sign(scaled: list[int], num: int) -> int:
-    """Sign (-1, 0 or 1) of p at x = num / 2^_SCALE by one Horner pass, where
-    ``scaled[i]`` is p's coefficient of x^i times 2^(_SCALE * (n - i))."""
-    acc = 0
+def _horner(scaled: list[int], x: int) -> tuple[int, int]:
+    """q(x) and q'(x) by one Horner pass, where ``scaled[i]`` is p's
+    coefficient of x^i times 2^(_SCALE * (n - i)), so that q(x) is p at
+    x / 2^_SCALE times 2^(_SCALE * n)."""
+    q = dq = 0
     for c in reversed(scaled):
-        acc = acc * num + c
-    return (acc > 0) - (acc < 0)
+        dq = dq * x + q
+        q = q * x + c
+    return q, dq
+
+
+def _refine(scaled: list[int], lo: int, hi: int, sign_lo: int) -> tuple[int, bool]:
+    """(floor(r), r == floor(r)) for the one root r of q in the open
+    interval (lo, hi), where q has the sign ``sign_lo`` on (lo, r), the
+    opposite sign on (r, hi), and hi - lo >= 2.
+
+    Each pass evaluates q and q' at a point x strictly inside the bracket,
+    returns x on an exact zero, and else moves the bracket end with x's sign
+    to x. The next point is the integer Newton point, rounded away from x:
+    once Newton lands within one grid step of r, that point lies on r's far
+    side, so the bracket closes from both sides. The midpoint is taken in
+    its place when q'(x) = 0, when the Newton point falls outside the
+    bracket, or when the passes left would no longer cover a bisection of
+    the bracket, so no root costs more than twice the passes of bisection.
+    """
+    budget = 2 * (hi - lo - 1).bit_length()
+    x = (lo + hi) >> 1
+    while True:
+        q, dq = _horner(scaled, x)
+        budget -= 1
+        if not q:
+            return x, True
+        if (q > 0) == (sign_lo > 0):
+            lo = x
+        else:
+            hi = x
+        if hi - lo == 1:
+            return lo, False
+        if dq:
+            x = x - q // dq if x == lo else x + -q // dq
+        if not dq or not lo < x < hi or budget <= (hi - lo - 1).bit_length():
+            x = (lo + hi) >> 1
 
 
 def charpoly_eigenvalues(m) -> list[float]:
@@ -233,23 +267,24 @@ def charpoly_eigenvalues(m) -> list[float]:
 
     Symmetry guarantees that every root of the polynomial is real, which is
     what makes the sign-change count in :func:`_count` exact. The k-th
-    eigenvalue is bisected at dyadic points of a power-of-two-wide bracket
-    starting at -1, so every integer is a bisection point and integer
-    eigenvalues come out exact; the others are returned as the midpoint of a
-    final interval 2^-40 wide. Every eigenvalue must lie in the closed
-    bracket [-1, 2n+2], which covers every graph Laplacian of order n; one
-    outside it (possible for general symmetric input, never for a Laplacian)
-    raises :class:`OracleError`.
+    eigenvalue is located on the grid of dyadic points j / 2^40 in a
+    power-of-two-wide bracket starting at -1: one on the grid, every integer
+    included, comes out exact, and any other is returned as the midpoint of
+    the grid cell, 2^-40 wide, that holds it. Every eigenvalue must lie in
+    the closed bracket [-1, 2n+2], which covers every graph Laplacian of
+    order n; one outside it (possible for general symmetric input, never for
+    a Laplacian) raises :class:`OracleError`.
 
-    The bisection runs in two phases. While the interval [num, top) holds
-    two or more roots, each midpoint x is decided by the count of roots below
-    it; counts are kept per call, since the first few midpoints are the same
-    for every eigenvalue. Once [num, top) holds exactly one root, that root
-    is the k-th, it is simple and it lies strictly above num. Then p(x) has
-    the sign of p(num), (-1)^(n-k) for the monic p, exactly when the root
-    lies above x, and p(x) = 0 exactly when x is the root, so the sign of p
-    gives the count the first phase would have computed: the same points
-    are visited and the same value is returned.
+    The search runs in two phases. While the interval [num, top) holds two
+    or more roots, it is bisected and each midpoint x is decided by the
+    count of roots below it; counts are kept per call, since the first few
+    midpoints are the same for every eigenvalue. Once [num, top) holds
+    exactly one root, that root is the k-th, it is simple and it lies
+    strictly above num, and p has the sign of p(num), (-1)^(n-k) for the
+    monic p, below it. :func:`_refine` then finds the grid cell that holds
+    it by Newton's method. Bisection would visit other points, but it
+    returns a value fixed by that cell and by whether the root is its low
+    end, so the value returned is the same.
     """
     entries = _as_integer_matrix(m)
     n = len(entries)
@@ -270,26 +305,23 @@ def charpoly_eigenvalues(m) -> list[float]:
             roots.append(float(lo))
             continue
         num, step = lo << _SCALE, 1 << (width_log2 + _SCALE)
-        # roots below num and below top = num + 2 * step; top starts above hi
-        below_num, below_top = 0, n
-        sign_num = -1 if (n - k) % 2 else 1
+        # roots below num and below top = num + step; top starts above hi
+        below_num, below_top, exact = 0, n, False
         while step > 1:
+            if below_top - below_num == 1:  # one simple root, above num
+                num, exact = _refine(scaled, num, num + step, -1 if (n - k) % 2 else 1)
+                break
             step >>= 1
             x = num + step
-            if below_top - below_num == 1:  # one simple root, above num
-                sign = _sign(scaled, x)
-                below, at_most = k + (sign == -sign_num), k + (sign != sign_num)
-            else:
-                if x not in counts:
-                    counts[x] = _count(poly, x, _SCALE)
-                below, at_most = counts[x]
+            if x not in counts:
+                counts[x] = _count(poly, x, _SCALE)
+            below, at_most = counts[x]
             if below <= k:
                 num, below_num = x, below
                 if k < at_most:
-                    roots.append(num / (1 << _SCALE))
+                    exact = True
                     break
             else:
                 below_top = below
-        else:
-            roots.append((2 * num + 1) / (2 << _SCALE))
+        roots.append(num / (1 << _SCALE) if exact else (2 * num + 1) / (2 << _SCALE))
     return roots

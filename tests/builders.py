@@ -115,21 +115,42 @@ def reference_jacobi(m: np.ndarray, tol: float = 1e-12):
     return values, v[:, order]
 
 
+def reference_charpoly(entries: list[list[int]]) -> list[int]:
+    """Frozen copy of the nested-sum Faddeev-LeVerrier that ``oracle._charpoly``
+    ran before it formed its products on object arrays: coefficients of
+    det(xI - M), ascending, every product and trace a Python ``sum``."""
+    n = len(entries)
+    coeffs = [0] * n + [1]
+    work = [row[:] for row in entries]
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                work[i][i] += coeffs[n - k + 1]
+            work = [
+                [sum(entries[i][t] * work[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        coeffs[n - k], rem = divmod(-sum(work[i][i] for i in range(n)), k)
+        if rem:
+            raise oracle.OracleError("characteristic polynomial came out non-integral")
+    return coeffs
+
+
 def reference_charpoly_eigenvalues(m) -> list[float]:
     """Frozen copy of the count-only bisection that ``charpoly_eigenvalues``
     must reproduce exactly: every eigenvalue bisected from the full bracket
     [-1, 2n+2] by a fresh Descartes count at each dyadic midpoint.
 
-    Reuses the oracle's input check, Faddeev-LeVerrier polynomial and count
-    through the module, so a test that patches ``oracle._count`` sees these
-    calls too.
+    Takes its polynomial from :func:`reference_charpoly`, and reuses the
+    oracle's input check and count through the module, so a test that
+    patches ``oracle._count`` sees these calls too.
     """
     entries = oracle._as_integer_matrix(m)
     n = len(entries)
     if n > oracle.MAX_ORACLE_ORDER:
         raise ValueError(f"oracle is capped at order {oracle.MAX_ORACLE_ORDER}, got {n}")
     scale = oracle._SCALE
-    poly = oracle._charpoly(entries)
+    poly = reference_charpoly(entries)
     lo, hi = -1, 2 * n + 2
     below_lo, at_most_lo = oracle._count(poly, lo, 0)
     if below_lo or oracle._count(poly, hi, 0)[1] < n:

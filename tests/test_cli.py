@@ -359,12 +359,16 @@ def test_sweep_bad_range(capsys, monkeypatch):
     verified = []
     monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: verified.append(g))
     for args, named in [
-        (("--n-min", "9"), "n-min"),
-        (("--n-min", "-2", "--samples", "5"), "n-min"),
-        (("--n-min", "0", "--samples", "50"), "n-min"),
-        (("--samples", "-3"), "samples"),
+        (("--mode", "random", "--n-max", "3", "--n-min", "9"), "n-min"),
+        (("--mode", "random", "--n-max", "3", "--n-min", "-2", "--samples", "5"), "n-min"),
+        (("--mode", "random", "--n-max", "3", "--n-min", "0", "--samples", "50"), "n-min"),
+        (("--mode", "random", "--n-max", "3", "--samples", "-3"), "samples"),
+        (("--mode", "random", "--n-max", "3", "--samples", "0", "--p-edge", "7"), "p_edge"),
+        (("--mode", "random", "--n-max", "3", "--samples", "5", "--p-loop", "-0.5"), "p_loop"),
+        (("--mode", "exhaustive", "--n-max", "0"), "n-max"),
+        (("--mode", "exhaustive", "--n-max", "-5"), "n-max"),
     ]:
-        code, _, err = run_cli(capsys, "sweep", "--mode", "random", "--n-max", "3", *args)
+        code, _, err = run_cli(capsys, "sweep", *args)
         assert code == 2, args
         assert named in err, (args, err)
     assert verified == []

@@ -23,7 +23,14 @@ from loopspec import (
 from loopspec.graphs import connected_components
 from loopspec.cli import run_sweep
 from loopspec.oracle import RETRY_CAP, _meets
-from builders import SWEEP_SEED, cycle_graph, reference_charpoly_eigenvalues
+from builders import (
+    SWEEP_SEED,
+    complete_graph,
+    cycle_graph,
+    reference_charpoly,
+    reference_charpoly_eigenvalues,
+    with_all_loops,
+)
 
 
 # --- generator config ---
@@ -301,6 +308,94 @@ def test_oracle_equals_frozen_reference_on_criterion_6_with_fewer_counts(monkeyp
     new_calls, calls[0] = calls[0], 0
     assert got == [reference_charpoly_eigenvalues(lap) for lap in laps]
     assert 5 * new_calls <= calls[0]
+
+
+@given(symmetric_integer_matrices())
+@settings(max_examples=150, deadline=None)
+def test_charpoly_equals_frozen_nested_sum_reference(m):
+    entries = oracle._as_integer_matrix(m)
+    assert oracle._charpoly(entries) == reference_charpoly(entries)
+
+
+def test_charpoly_equals_frozen_nested_sum_reference_on_criterion_6():
+    laps = [laplacian_of(g) for n in range(1, 5) for g in enumerate_graphs(n)]
+    assert len(laps) == 1098
+    for lap in laps:
+        entries = oracle._as_integer_matrix(lap)
+        assert oracle._charpoly(entries) == reference_charpoly(entries)
+    # K30 with every loop has coefficients far past 2^63: the object-array
+    # products must stay exact where int64 would wrap
+    entries = oracle._as_integer_matrix(laplacian_of(with_all_loops(complete_graph(30))))
+    poly = oracle._charpoly(entries)
+    assert poly == reference_charpoly(entries)
+    assert max(map(abs, poly)) > 2**63
+
+
+@pytest.fixture
+def horner_points(monkeypatch):
+    """Every point at which ``oracle._horner`` evaluates, one per pass."""
+    points = []
+    horner = oracle._horner
+
+    def recorded(scaled, x):
+        points.append(x)
+        return horner(scaled, x)
+
+    monkeypatch.setattr(oracle, "_horner", recorded)
+    return points
+
+
+def test_refinement_takes_at_most_half_the_passes_of_bisection(monkeypatch, horner_points):
+    """Every root handed to ``_refine`` on criterion 6's graphs and the seeded
+    order-5/6 graphs takes at most 2 log2(step) Horner passes, and all of
+    them together at most half of what bisecting each one down to the 2^-40
+    grid takes: a return to bisection, or a Newton step that stalls on one
+    side of the root, fails here."""
+    per_root = []
+    refine = oracle._refine
+
+    def recorded(scaled, lo, hi, sign_lo):
+        before = len(horner_points)
+        floor, exact = refine(scaled, lo, hi, sign_lo)
+        per_root.append((hi - lo, floor - lo, exact, len(horner_points) - before))
+        return floor, exact
+
+    monkeypatch.setattr(oracle, "_refine", recorded)
+    laps = [laplacian_of(g) for n in range(1, 5) for g in enumerate_graphs(n)]
+    for m in laps + list(_seeded_graphs()):
+        charpoly_eigenvalues(m)
+    used = bisected = 0
+    for step, offset, exact, passes in per_root:
+        log2_step = step.bit_length() - 1
+        assert step == 1 << log2_step
+        assert passes <= 2 * log2_step
+        used += passes
+        # bisection stops at the pass whose midpoint is the root: the one
+        # with the root's lowest set bit above the bracket's low end
+        bisected += log2_step - (offset & -offset).bit_length() + 1 if exact else log2_step
+    assert len(per_root) > 2000
+    assert 2 * used <= bisected
+
+
+def test_refinement_bisects_where_the_derivative_vanishes(horner_points):
+    # q(x) = (x - 8)^3 - 5 has one simple root, 8 + 5^(1/3) = 9.71, in
+    # (0, 16), and q'(8) = 0 at the first point, the midpoint: the next
+    # point must be the midpoint 12 of (8, 16), not a division by zero
+    assert oracle._refine([-517, 192, -24, 1], 0, 16, -1) == (9, False)
+    assert horner_points[:2] == [8, 12]
+
+
+def test_refinement_costs_at_most_twice_bisection_where_newton_crawls(horner_points):
+    # q(x) = (x - c)^5 + (x - c) - 1 has one simple root in (c, c + 1), but
+    # from afar Newton closes only a fifth of the distance to it per pass:
+    # about 120 passes across (0, 2^41) unless the budget hands the rest
+    # of the bracket to bisection within 2 * 41
+    c = 3 * 2**39 + 12345
+    q = [math.comb(5, i) * (-c) ** (5 - i) for i in range(6)]
+    q[0] -= c + 1
+    q[1] += 1
+    assert oracle._refine(q, 0, 2**41, -1) == (c, False)
+    assert len(horner_points) <= 2 * 41
 
 
 def test_oracle_agrees_with_solver_on_all_tiny_graphs():
