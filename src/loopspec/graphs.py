@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "Edge",
@@ -62,10 +65,6 @@ class Graph:
                 raise ValueError(f"edge {e} not canonical (expected i <= j)")
             if i < 1 or j > self.n:
                 raise ValueError(f"edge {e} out of range 1..{self.n}")
-
-    def sorted_edges(self) -> list[Edge]:
-        """Edges in (i, j) order; the integer key sorts like the tuples, as 1 <= j <= n."""
-        return sorted(self.edges, key=lambda e: e[0] * (self.n + 1) + e[1])
 
     def self_loops(self) -> list[int]:
         """Vertices carrying a self-loop, ascending."""
@@ -145,8 +144,9 @@ def _pseudo_connected(g: Graph, parts: ComponentPartition) -> bool:
     """:func:`is_pseudo_connected` given ``g``'s component partition, for
     callers that already hold it."""
     component_has_loop = [False] * (parts.count + 1)
-    for v in g.self_loops():
-        component_has_loop[parts.labels[v - 1]] = True
+    for i, j in g.edges:
+        if i == j:
+            component_has_loop[parts.labels[i - 1]] = True
     return all(component_has_loop[1:])
 
 
@@ -165,8 +165,62 @@ def _max_nonloop_degree(g: Graph) -> int:
 # self-loop). Lines starting with '#' and blank lines are ignored. Round-trips
 # through parse/format up to comments and edge order.
 
+_MAX_PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: a decoded token fits in int64
+_POWERS = 10 ** np.arange(_MAX_PLAIN_DIGITS - 1, -1, -1, dtype=np.int64)
+
+
+def _parse_plain(data: bytes) -> Graph | None:
+    """The Graph that :func:`parse_edge_list`'s line loop returns for ``data``,
+    computed in numpy, or ``None`` wherever the loop might read it differently
+    or reject it; never raises.
+
+    Takes only ASCII digits, spaces and newlines, exactly two tokens on every
+    non-blank line, tokens of at most 18 digits, n >= 1, endpoints in 1..n and
+    exactly the declared number of distinct edges. Everything else (comments,
+    CRLF, tabs, signs, any malformed file) is left to the loop, so the loop
+    alone defines the grammar's errors.
+    """
+    if data.translate(None, b"0123456789 \n"):
+        return None
+    # Leading spaces give every token a full window of 18 bytes before its end.
+    buf = np.frombuffer(b" " * _MAX_PLAIN_DIGITS + data + b" ", dtype=np.uint8)
+    is_digit = buf > 32  # past the check above, only digits lie above b" "
+    bounds = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    if starts.size < 2 or starts.size % 2:
+        return None
+    lengths = ends - starts
+    width = int(lengths.max())
+    if width > _MAX_PLAIN_DIGITS:
+        return None
+    line = np.searchsorted(np.flatnonzero(buf == 10), starts)  # newlines before each token
+    if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] == line[1:-1:2]):
+        return None
+    # Right-align every token in a (tokens, width) window of byte values
+    # minus b"0", zero what lies left of the token (separators, which wrap
+    # around in uint8, and earlier digits), and decode every token with one
+    # product by the powers of ten.
+    window = buf[ends[:, None] - np.arange(width, 0, -1)] - np.uint8(48)
+    values = (window * (np.arange(width) >= width - lengths[:, None])) @ _POWERS[-width:]
+    n, declared = int(values[0]), int(values[1])
+    lo = np.minimum(values[2::2], values[3::2])
+    hi = np.maximum(values[2::2], values[3::2])
+    if n < 1 or lo.size != declared or np.any(lo < 1) or np.any(hi > n):
+        return None
+    edges = frozenset(zip(lo.tolist(), hi.tolist()))
+    if len(edges) != declared:
+        return None
+    return Graph(n, edges)
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text; raises :class:`EdgeListError` with a line number."""
+    """Parse edge-list text; raises :class:`EdgeListError` with a line number.
+
+    Plain ASCII text goes through :func:`_parse_plain` first; the line loop
+    below parses whatever it declines and raises every error.
+    """
+    if text.isascii() and (g := _parse_plain(text.encode("ascii"))) is not None:
+        return g
     n: int | None = None
     declared = 0
     edges: set[Edge] = set()
@@ -200,9 +254,17 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines += [f"{i} {j}" for i, j in g.sorted_edges()]
-    return "\n".join(lines) + "\n"
+    """Header line, then one line per edge in (i, j) order.
+
+    The edges are sorted by the key i (n + 1) + j, which orders them like the
+    tuples since 1 <= j <= n; past int64's range the key is a Python int.
+    """
+    m, base = len(g.edges), g.n + 1
+    dtype = np.int64 if base * base <= 2**63 else object
+    pairs = np.fromiter(chain.from_iterable(g.edges), dtype=dtype, count=2 * m).reshape(m, 2)
+    keys = np.sort(pairs[:, 0] * base + pairs[:, 1])
+    pairs = np.column_stack((keys // base, keys % base))
+    return f"{g.n} {m}\n" + ("%d %d\n" * m) % tuple(pairs.ravel().tolist())
 
 
 def read_edge_list(path: str | Path) -> Graph:

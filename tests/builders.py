@@ -7,7 +7,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from loopspec import Graph, LiftedGraph, graph_from_edges, lift, oracle
+from loopspec import EdgeListError, Graph, LiftedGraph, graph_from_edges, lift, oracle
 
 # Criterion 3's campaign seed; criteria 4 and 7 draw from SWEEP_SEED + 1, + 2.
 SWEEP_SEED = 20260817
@@ -46,7 +46,7 @@ def incidence_matrix(g: Graph, dtype=np.int64) -> np.ndarray:
     a single +1 at p. With ``dtype=np.float64``, ``e.T @ e`` runs in BLAS and
     is still exact: every entry and partial sum is an integer below 2**53.
     """
-    edges = g.sorted_edges()
+    edges = sorted(g.edges)
     e = np.zeros((len(edges), g.n), dtype=dtype)
     for r, (i, j) in enumerate(edges):
         e[r, i - 1] = 1
@@ -70,6 +70,54 @@ def degree_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
             d[j - 1, j - 1] += 1
             a[i - 1, j - 1] = a[j - 1, i - 1] = 1
     return d, a
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """Frozen copy of the line loop that was ``parse_edge_list`` before it
+    tried a numpy kernel first: one pass over ``text.splitlines()``, the
+    errors (class, message, ``.line``) that ``parse_edge_list`` must still
+    raise, and the Graph it must still return."""
+    n: int | None = None
+    declared = 0
+    edges: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise EdgeListError(f"expected two whitespace-separated integers, got {line!r}", lineno)
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise EdgeListError(f"malformed integer in {line!r}", lineno) from None
+        if n is None:
+            if a < 1:
+                raise EdgeListError(f"vertex count must be positive, got {a}", lineno)
+            if b < 0:
+                raise EdgeListError(f"edge count must be nonnegative, got {b}", lineno)
+            n, declared = a, b
+            continue
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise EdgeListError(f"vertex out of range 1..{n}: ({a}, {b})", lineno)
+        e = (a, b) if a <= b else (b, a)
+        if e in edges:
+            raise EdgeListError(f"duplicate edge {e}", lineno)
+        edges.add(e)
+    if n is None:
+        raise EdgeListError("missing 'n m' header line")
+    if len(edges) != declared:
+        raise EdgeListError(f"header declares {declared} edges, found {len(edges)}")
+    return Graph(n, frozenset(edges))
+
+
+def reference_format_edge_list(g: Graph) -> str:
+    """Frozen copy of ``format_edge_list`` before it sorted and rendered in
+    numpy: the header, then one f-string per edge, sorted by the key
+    i (n + 1) + j, joined by newlines with a final newline."""
+    lines = [f"{g.n} {len(g.edges)}"]
+    lines += [f"{i} {j}" for i, j in sorted(g.edges, key=lambda e: e[0] * (g.n + 1) + e[1])]
+    return "\n".join(lines) + "\n"
 
 
 def reference_jacobi(m: np.ndarray, tol: float = 1e-12):

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from loopspec import (
     EdgeListError,
@@ -8,11 +10,20 @@ from loopspec import (
     format_edge_list,
     graph_from_edges,
     is_pseudo_connected,
+    lift,
     parse_edge_list,
     read_edge_list,
     write_edge_list,
 )
-from builders import degree, graphs, path_graph, with_all_loops
+from loopspec.graphs import _parse_plain
+from builders import (
+    degree,
+    graphs,
+    path_graph,
+    reference_format_edge_list,
+    reference_parse_edge_list,
+    with_all_loops,
+)
 
 
 def test_graph_without_edges_is_edgeless():
@@ -159,8 +170,114 @@ def test_format_worked_example():
 
 
 @given(graphs(max_n=12))
-def test_sorted_edges_is_the_tuple_order(g):
-    assert g.sorted_edges() == sorted(g.edges)
+def test_format_lists_edges_in_tuple_order(g):
+    header, *lines = format_edge_list(g).splitlines()
+    assert header == f"{g.n} {len(g.edges)}"
+    assert [tuple(map(int, line.split())) for line in lines] == sorted(g.edges)
+
+
+@given(graphs(max_n=12))
+def test_format_equals_frozen_f_string_reference(g):
+    assert format_edge_list(g) == reference_format_edge_list(g)
+
+
+def test_format_equals_frozen_reference_on_large_and_huge_graphs():
+    rng = np.random.default_rng(2000)
+    n = 2000
+    pairs = {tuple(sorted(p)) for p in rng.integers(1, n + 1, size=(10 * n, 2)).tolist()}
+    big = lift(Graph(n, frozenset(pairs) | {(v, v) for v in range(1, n + 1, 7)})).lifted
+    # the int64 key's last order, the first past it and one far past int64
+    edge_cases = [Graph(k, {(1, 1), (1, k), (k - 1, k), (k, k)}) for k in (3_037_000_498, 3_037_000_499, 2**70)]
+    for g in [big, *edge_cases]:
+        assert format_edge_list(g) == reference_format_edge_list(g)
+
+
+def assert_parses_like_reference(text: str) -> Graph | None:
+    """``parse_edge_list`` returns the frozen loop's Graph, or raises its
+    error with the same class, message and line; returns that Graph."""
+    try:
+        want = reference_parse_edge_list(text)
+    except EdgeListError as exc:
+        with pytest.raises(EdgeListError) as err:
+            parse_edge_list(text)
+        assert (type(err.value), str(err.value), err.value.line) == (type(exc), str(exc), exc.line)
+        return None
+    assert parse_edge_list(text) == want
+    return want
+
+
+# How a formatted edge list may be rewritten, and whether the numpy kernel
+# still reads the result (True) or leaves it to the line loop (False).
+TEXT_VARIANTS = {
+    "plain": (lambda t: t, True),
+    "blank lines": (lambda t: "\n  \n" + t.replace("\n", "\n\n"), True),
+    "trailing spaces": (lambda t: t.replace("\n", "  \n"), True),
+    "no final newline": (lambda t: t[:-1], True),
+    "leading zeros": (lambda t: "0" + t.replace(" ", " 00"), True),
+    "comments": (lambda t: "# a graph\n" + t.replace("\n", "\n# an edge\n", 2), False),
+    "crlf": (lambda t: t.replace("\n", "\r\n"), False),
+    "tabs": (lambda t: t.replace(" ", "\t"), False),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(TEXT_VARIANTS))
+@given(g=graphs(max_n=9))
+def test_parse_equals_frozen_line_loop(variant, g):
+    rewrite, kernel_reads = TEXT_VARIANTS[variant]
+    text = rewrite(format_edge_list(g))
+    assert assert_parses_like_reference(text) == g
+    assert _parse_plain(text.encode()) == (g if kernel_reads else None)
+
+
+# Plain texts the kernel must leave to the line loop: each is invalid, except
+# the 19-digit token with leading zeros, which only the loop reads.
+PLAIN_DECLINES = {
+    "out-of-range endpoint": "2 1\n1 3\n",
+    "zero endpoint": "2 1\n0 1\n",
+    "duplicate": "2 2\n1 2\n1 2\n",
+    "reversed duplicate": "2 2\n1 2\n2 1\n",
+    "duplicate within the declared count": "2 1\n1 2\n2 1\n",
+    "count mismatch": "3 3\n1 2\n2 3\n",
+    "one token": "2 1\n1\n",
+    "an edge split over two lines": "2 1\n1\n2\n",
+    "three tokens": "2 1\n1 2 2\n",
+    "two edges on one line": "2 2\n1 2 1 1\n",
+    "header only": "3 2\n",
+    "zero order": "0 0\n",
+    "19-digit token": "2 1\n1000000000000000000 1\n",
+    "19-digit token with leading zeros": "2 1\n0000000000000000001 2\n",
+    "leading zeros on a zero endpoint": "2 1\n00 01\n",
+    "plus sign": "2 1\n+1 2\n",
+    "arabic-indic digit": "2 1\n\u0661 2\n",
+    "empty": "",
+    "blank": " \n\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_DECLINES))
+def test_parse_plain_declines_what_the_loop_must_judge(name):
+    text = PLAIN_DECLINES[name]
+    assert _parse_plain(text.encode()) is None
+    assert_parses_like_reference(text)
+
+
+def test_parse_plain_decodes_eighteen_digit_tokens():
+    big = 10**18 - 1
+    text = f"{big} 2\n1 {big}\n{big - 1} 000000000000000002\n"
+    want = Graph(big, frozenset({(1, big), (2, big - 1)}))
+    assert _parse_plain(text.encode()) == want
+    assert assert_parses_like_reference(text) == want
+
+
+@given(st.lists(st.lists(st.from_regex(r"[0-9]{1,3}", fullmatch=True), max_size=4), max_size=6))
+def test_parse_equals_frozen_line_loop_on_near_plain_text(lines):
+    # small numbers, zeros and leading zeros on lines of zero to four tokens
+    assert_parses_like_reference("\n".join(" ".join(line) for line in lines))
+
+
+@given(st.text(alphabet="0123456789 \n\r\t#+-_x\u0661", max_size=30))
+def test_parse_equals_frozen_line_loop_on_arbitrary_text(text):
+    assert_parses_like_reference(text)
 
 
 @given(graphs())

@@ -47,7 +47,7 @@ def test_incidence_row_sums():
     g = graph_from_edges(4, [(1, 1), (1, 2), (3, 3), (2, 4)])
     e = incidence_matrix(g)
     sums = e.sum(axis=1)
-    for row, (i, j) in zip(sums, g.sorted_edges()):
+    for row, (i, j) in zip(sums, sorted(g.edges)):
         assert row == (1 if i == j else 0)
 
 
