@@ -66,10 +66,6 @@ class Graph:
             if i < 1 or j > self.n:
                 raise ValueError(f"edge {e} out of range 1..{self.n}")
 
-    def self_loops(self) -> list[int]:
-        """Vertices carrying a self-loop, ascending."""
-        return sorted(i for i, j in self.edges if i == j)
-
     @property
     def loop_count(self) -> int:
         return sum(1 for i, j in self.edges if i == j)
@@ -162,8 +158,10 @@ def _max_nonloop_degree(g: Graph) -> int:
 
 
 # Edge-list text format: header line "n m", then m lines "i j" (i == j for a
-# self-loop). Lines starting with '#' and blank lines are ignored. Round-trips
-# through parse/format up to comments and edge order.
+# self-loop), two whitespace-separated fields per line. A field is one or more
+# ASCII digits 0-9: no sign, underscore or other Unicode digit. Lines starting
+# with '#' and blank lines are ignored. Round-trips through parse/format up to
+# comments and edge order.
 
 _MAX_PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: a decoded token fits in int64
 _POWERS = 10 ** np.arange(_MAX_PLAIN_DIGITS - 1, -1, -1, dtype=np.int64)
@@ -174,11 +172,11 @@ def _parse_plain(data: bytes) -> Graph | None:
     computed in numpy, or ``None`` wherever the loop might read it differently
     or reject it; never raises.
 
-    Takes only ASCII digits, spaces and newlines, exactly two tokens on every
-    non-blank line, tokens of at most 18 digits, n >= 1, endpoints in 1..n and
-    exactly the declared number of distinct edges. Everything else (comments,
-    CRLF, tabs, signs, any malformed file) is left to the loop, so the loop
-    alone defines the grammar's errors.
+    Reads the format above with only spaces and newlines between fields:
+    exactly two tokens on every non-blank line, tokens of at most 18 digits,
+    n >= 1, endpoints in 1..n and exactly the declared number of distinct
+    edges. Everything else (comments, CRLF, tabs, any malformed file) is left
+    to the loop, so the loop alone defines the grammar's errors.
     """
     if data.translate(None, b"0123456789 \n"):
         return None
@@ -231,15 +229,16 @@ def parse_edge_list(text: str) -> Graph:
         fields = line.split()
         if len(fields) != 2:
             raise EdgeListError(f"expected two whitespace-separated integers, got {line!r}", lineno)
+        digits = fields[0] + fields[1]
         try:
-            a, b = int(fields[0]), int(fields[1])
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(digits)
+            a, b = int(fields[0]), int(fields[1])  # Python 3.11+ caps int() at 4300 digits
         except ValueError:
             raise EdgeListError(f"malformed integer in {line!r}", lineno) from None
         if n is None:
             if a < 1:
                 raise EdgeListError(f"vertex count must be positive, got {a}", lineno)
-            if b < 0:
-                raise EdgeListError(f"edge count must be nonnegative, got {b}", lineno)
             n, declared = a, b
             continue
         try:

@@ -262,7 +262,7 @@ def misrouted_spoke(g: Graph) -> LiftedGraph:
     """A lift whose spoke (middle, v + middle) lands on a loopless vertex w
     of the second copy instead; ``g`` needs a loop and a loopless vertex."""
     good = lift(g)
-    loops = g.self_loops()
+    loops = sorted(i for i, j in g.edges if i == j)
     mid, v = good.middle, loops[0]
     w = next(u for u in range(1, g.n + 1) if u not in loops)
     edges = (good.lifted.edges - {(mid, v + mid)}) | {(mid, w + mid)}

@@ -1,7 +1,16 @@
 import numpy as np
+import pytest
 from hypothesis import given
 
-from loopspec import Graph, graph_from_edges, laplacian_of, lift
+from loopspec import (
+    Graph,
+    connected_components,
+    enumerate_graphs,
+    graph_from_edges,
+    is_pseudo_connected,
+    laplacian_of,
+    lift,
+)
 from builders import degree, graphs, path_graph
 
 
@@ -50,7 +59,7 @@ def test_lift_structure(g):
     for i, j in sorted(e for e in g.edges if e[0] != e[1]):
         assert (i, j) in lg.lifted.edges
         assert (i + mid, j + mid) in lg.lifted.edges
-    for v in g.self_loops():
+    for v in (i for i, j in g.edges if i == j):
         assert (v, mid) in lg.lifted.edges
         assert (mid, v + mid) in lg.lifted.edges
 
@@ -76,3 +85,25 @@ def test_lift_of_single_vertex():
     lg = lift(Graph(1))
     assert lg.lifted.n == 3
     assert lg.lifted.edges == frozenset()
+
+
+def _assert_lift_joins_the_looped_components(g):
+    # The middle vertex joins every component with a loop, in both copies;
+    # each loopless component stays apart in each copy. So the lift is
+    # connected exactly when g is pseudo-connected.
+    parts = connected_components(g)
+    looped = {parts.labels[i - 1] for i, j in g.edges if i == j}
+    lifted = connected_components(lift(g).lifted).count
+    assert lifted == 1 + 2 * (parts.count - len(looped)), g
+    assert is_pseudo_connected(g) == (lifted == 1), g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lift_is_connected_iff_pseudo_connected_on_all_small_graphs(n):
+    for g in enumerate_graphs(n):
+        _assert_lift_joins_the_looped_components(g)
+
+
+@given(graphs())
+def test_lift_is_connected_iff_pseudo_connected(g):
+    _assert_lift_joins_the_looped_components(g)

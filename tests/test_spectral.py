@@ -32,6 +32,7 @@ from loopspec import (
     verify_all,
 )
 from loopspec.cli import run_sweep
+from loopspec.graphs import _max_nonloop_degree
 from builders import (
     SWEEP_SEED,
     complete_graph,
@@ -479,7 +480,26 @@ def test_lifted_top_stays_near_the_secular_bisection():
         assert abs(top - reference) <= _lifted_top_tol(g.n, reference), (g, top, reference)
 
 
-def test_lifted_margins_stay_near_the_mirror_basis_residual():
+def _assert_lifted_margins_match_the_mirror_basis(g):
+    lap_lift, spec = laplacian_of(lift(g).lifted), spectral.eigen_sym(laplacian_of(g))
+    gap, worst_res = reference_lifted_residual(lap_lift, spec)
+    report = verify_all(g)
+    tol = report.tolerances["match_tol_scaled_lifted"]
+    lam_min, lam_max = spec.eigenvalues[0], spec.eigenvalues[-1]
+    interval = 2.0 * spectral._max_nonloop_degree(g) + 1.0 + tol - lam_max
+    expected = {
+        "eq6": min(tol - gap, interval),
+        "eq7": lam_min - gap - report.tolerances["positivity_threshold_lifted"],
+        "lift-eigvec": tol - worst_res,
+    }
+    bound = 16 * (2 * g.n + 1) * np.finfo(float).eps * max(1.0, lam_max)
+    lifted = [c for c in report.checks if c.id in expected]
+    assert len(lifted) == (3 if report.pseudo_connected else 2)
+    for c in lifted:
+        assert abs(c.margin - expected[c.id]) <= bound, (g, c, expected[c.id])
+
+
+def test_lifted_margins_stay_near_the_mirror_basis_residual(monkeypatch):
     # LL times the (2N+1) x N mirror basis is an independent route to the
     # gap and the lifted residuals that verify_all reads off L(G)'s residual
     large = tuple(
@@ -487,22 +507,18 @@ def test_lifted_margins_stay_near_the_mirror_basis_residual():
         for n in range(22, 31)
     )
     for g in _campaign_graphs() + large:
-        lap_lift, spec = laplacian_of(lift(g).lifted), eigen_sym(laplacian_of(g))
-        gap, worst_res = reference_lifted_residual(lap_lift, spec)
-        report = verify_all(g)
-        tol = report.tolerances["match_tol_scaled_lifted"]
-        lam_min, lam_max = spec.eigenvalues[0], spec.eigenvalues[-1]
-        interval = 2.0 * spectral._max_nonloop_degree(g) + 1.0 + tol - lam_max
-        expected = {
-            "eq6": min(tol - gap, interval),
-            "eq7": lam_min - gap - report.tolerances["positivity_threshold_lifted"],
-            "lift-eigvec": tol - worst_res,
-        }
-        bound = 16 * (2 * g.n + 1) * np.finfo(float).eps * max(1.0, lam_max)
-        lifted = [c for c in report.checks if c.id in expected]
-        assert len(lifted) == (3 if report.pseudo_connected else 2)
-        for c in lifted:
-            assert abs(c.margin - expected[c.id]) <= bound, (g, c, expected[c.id])
+        _assert_lifted_margins_match_the_mirror_basis(g)
+
+    # One visibly skewed eigenvector among good ones: eta ~ 1e-3 shows
+    # Kahan's sqrt(1 - eta) divisor, and one bad column the worst residual.
+    def skewed(matrix):
+        spec = eigen_sym(matrix)
+        vectors = spec.eigenvectors.copy()
+        vectors[:, 0] += 1e-3 * vectors[:, 1]
+        return Spectrum(spec.eigenvalues, vectors)
+
+    monkeypatch.setattr(spectral, "eigen_sym", skewed)
+    _assert_lifted_margins_match_the_mirror_basis(_pseudo_connected_8())
 
 
 def test_lifted_tolerance_of_the_worked_example_is_the_closed_form():
@@ -556,12 +572,24 @@ def _dropped_copy_edge(g):
     return LiftedGraph(Graph(good.lifted.n, good.lifted.edges - {(i + mid, j + mid)}), mid)
 
 
+def _dropped_mirrored_pair(g):
+    """A lift that leaves one non-loop edge out of both copies: the copy swap
+    still maps it onto itself, so only A - B == L(G) rejects it."""
+    good = lifting.lift(g)
+    mid, (i, j) = good.middle, sorted(e for e in g.edges if e[0] != e[1])[0]
+    return LiftedGraph(Graph(good.lifted.n, good.lifted.edges - {(i, j), (i + mid, j + mid)}), mid)
+
+
 @pytest.mark.parametrize(
-    "bad_lift", [misrouted_spoke, _dropped_copy_edge], ids=["_misrouted_spoke", "_dropped_copy_edge"]
+    "bad_lift, swap_symmetric",
+    [(misrouted_spoke, False), (_dropped_copy_edge, False), (_dropped_mirrored_pair, True)],
+    ids=["_misrouted_spoke", "_dropped_copy_edge", "_dropped_mirrored_pair"],
 )
-def test_a_miswired_lift_fails_the_lifted_claims(monkeypatch, bad_lift):
+def test_a_miswired_lift_fails_the_lifted_claims(monkeypatch, bad_lift, swap_symmetric):
     g = random_graph(GeneratorConfig(8, 0.4, 0.3, seed=11, require="pseudo_connected"))
     lap_lift = laplacian_of(bad_lift(g).lifted)
+    perm = np.r_[g.n + 1 : 2 * g.n + 1, g.n, : g.n]
+    assert np.array_equal(lap_lift[perm][:, perm], lap_lift) == swap_symmetric
     assert not spectral._mirror_certificate(lap_lift, laplacian_of(g))
     monkeypatch.setattr(spectral, "lift", bad_lift)
     checks = {c.id: c for c in verify_all(g).checks}
@@ -617,8 +645,19 @@ def _pseudo_connected_8():
             _laplacian_dropping_loops,
             lambda: [(_pseudo_connected_8(), {"lemma1", "eq7"})],
         ),
+        (
+            # eq6's interval 2 d(G°) + 1 then sits 1 below lambda_max = 4
+            "_max_nonloop_degree",
+            lambda g: _max_nonloop_degree(g) - 1,
+            lambda: [(cycle_graph(4), {"eq3", "eq6"})],
+        ),
     ],
-    ids=["fiedler-bound-of-n-minus-1", "degree-bound-minus-1", "laplacian-drops-loops"],
+    ids=[
+        "fiedler-bound-of-n-minus-1",
+        "degree-bound-minus-1",
+        "laplacian-drops-loops",
+        "nonloop-degree-minus-1",
+    ],
 )
 def test_an_injected_fault_fails_its_checks(monkeypatch, name, fault, cases):
     # Each case is the tightness witness that kills one plausible bug; the
