@@ -40,7 +40,8 @@ from .spectral import JacobiConvergenceError, MATCH_TOL, _solve_base, verify_all
 __all__ = ["MAX_DENSE_ORDER", "SweepResult", "main", "run_sweep"]
 
 # Largest dense matrix order analyze (order n), verify (order 2n+1) and sweep
-# (order 2 n-max + 1) build; one float64 matrix of this order takes 128 MiB.
+# (order 2 n-max + 1) build. At this order the int32 Laplacian takes 64 MiB
+# and the float64 copy that the solver reads 128 MiB.
 MAX_DENSE_ORDER = 4096
 
 _EXIT_OK = 0

@@ -8,7 +8,6 @@ share between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -104,26 +103,25 @@ def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
 
 def connected_components(g: Graph) -> ComponentPartition:
     """Partition vertices by non-loop-edge reachability (BFS, labels by first visit)."""
-    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
+    adj: list[list[int]] = [[] for _ in range(g.n + 1)]
     for i, j in g.edges:
         if i != j:
             adj[i].append(j)
             adj[j].append(i)
-    labels = [0] * g.n
+    labels = [0] * (g.n + 1)
     count = 0
     for start in range(1, g.n + 1):
-        if labels[start - 1]:
+        if labels[start]:
             continue
         count += 1
-        labels[start - 1] = count
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        labels[start] = count
+        queue = [start]
+        for u in queue:  # the loop also visits what it appends
             for w in adj[u]:
-                if not labels[w - 1]:
-                    labels[w - 1] = count
+                if not labels[w]:
+                    labels[w] = count
                     queue.append(w)
-    return ComponentPartition(tuple(labels), count)
+    return ComponentPartition(tuple(labels[1:]), count)
 
 
 def is_pseudo_connected(g: Graph) -> bool:
@@ -158,10 +156,11 @@ def _max_nonloop_degree(g: Graph) -> int:
 
 
 # Edge-list text format: header line "n m", then m lines "i j" (i == j for a
-# self-loop), two whitespace-separated fields per line. A field is one or more
-# ASCII digits 0-9: no sign, underscore or other Unicode digit. Lines starting
-# with '#' and blank lines are ignored. Round-trips through parse/format up to
-# comments and edge order.
+# self-loop). Lines end at "\n", "\r\n" or "\r"; on a line, two fields are
+# separated by spaces and tabs, and only spaces and tabs may pad it. A field is
+# one or more ASCII digits 0-9: no sign, underscore or other Unicode digit.
+# Lines starting with '#' and blank lines are ignored. Round-trips through
+# parse/format up to comments and edge order.
 
 _MAX_PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: a decoded token fits in int64
 _POWERS = 10 ** np.arange(_MAX_PLAIN_DIGITS - 1, -1, -1, dtype=np.int64)
@@ -222,11 +221,13 @@ def parse_edge_list(text: str) -> Graph:
     n: int | None = None
     declared = 0
     edges: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
+        fields = line.replace("\t", " ").split(" ")
+        if len(fields) != 2:  # a run of spaces and tabs leaves empty fields
+            fields = [f for f in fields if f]
         if len(fields) != 2:
             raise EdgeListError(f"expected two whitespace-separated integers, got {line!r}", lineno)
         digits = fields[0] + fields[1]

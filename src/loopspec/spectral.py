@@ -158,14 +158,9 @@ def bound_rows(g: Graph, eigenvalues: np.ndarray, connected: bool) -> list[dict]
             {"id": "eq2", "kind": "lower", "bound": bound, "value": value, "margin": value - bound}
         )
     bound, value = degree_upper_bound(g), float(eigenvalues[-1])
+    upper = "eq3" if loopless else "eq8"
     rows.append(
-        {
-            "id": "eq3" if loopless else "eq8",
-            "kind": "upper",
-            "bound": bound,
-            "value": value,
-            "margin": bound - value,
-        }
+        {"id": upper, "kind": "upper", "bound": bound, "value": value, "margin": bound - value}
     )
     return rows
 

@@ -3,11 +3,20 @@ test suite."""
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
 
-from loopspec import EdgeListError, Graph, LiftedGraph, graph_from_edges, lift, oracle
+from loopspec import (
+    ComponentPartition,
+    EdgeListError,
+    Graph,
+    LiftedGraph,
+    graph_from_edges,
+    lift,
+    oracle,
+)
 
 # Criterion 3's campaign seed; criteria 4 and 7 draw from SWEEP_SEED + 1, + 2.
 SWEEP_SEED = 20260817
@@ -70,6 +79,31 @@ def degree_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
             d[j - 1, j - 1] += 1
             a[i - 1, j - 1] = a[j - 1, i - 1] = 1
     return d, a
+
+
+def reference_connected_components(g: Graph) -> ComponentPartition:
+    """Frozen copy of ``connected_components`` before its BFS ran on lists:
+    a dict of adjacency lists and a deque, labels numbered by first visit."""
+    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
+    for i, j in g.edges:
+        if i != j:
+            adj[i].append(j)
+            adj[j].append(i)
+    labels = [0] * g.n
+    count = 0
+    for start in range(1, g.n + 1):
+        if labels[start - 1]:
+            continue
+        count += 1
+        labels[start - 1] = count
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if not labels[w - 1]:
+                    labels[w - 1] = count
+                    queue.append(w)
+    return ComponentPartition(tuple(labels), count)
 
 
 def reference_parse_edge_list(text: str) -> Graph:

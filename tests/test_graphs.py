@@ -6,20 +6,27 @@ from hypothesis import strategies as st
 from loopspec import (
     EdgeListError,
     Graph,
+    GeneratorConfig,
+    cli,
     connected_components,
+    enumerate_graphs,
     format_edge_list,
     graph_from_edges,
     is_pseudo_connected,
     lift,
     parse_edge_list,
+    random_graph,
     read_edge_list,
     write_edge_list,
 )
+from loopspec.cli import run_sweep
 from loopspec.graphs import _parse_plain
 from builders import (
+    SWEEP_SEED,
     degree,
     graphs,
     path_graph,
+    reference_connected_components,
     reference_format_edge_list,
     reference_parse_edge_list,
     with_all_loops,
@@ -101,6 +108,40 @@ def test_components_worked_cases():
     parts = connected_components(g)
     assert parts.count == 2
     assert parts.labels == (1, 1, 1, 2, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_components_equal_frozen_bfs_on_all_small_graphs(n):
+    for g in enumerate_graphs(n):
+        assert connected_components(g) == reference_connected_components(g), g
+
+
+def test_components_equal_frozen_bfs_on_criterion_3_graphs(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: drawn.append(g))
+    run_sweep(
+        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
+    )
+    assert len(drawn) == 1000
+    for g in drawn:
+        assert connected_components(g) == reference_connected_components(g), g
+
+
+@given(graphs())
+def test_components_equal_frozen_bfs(g):
+    assert connected_components(g) == reference_connected_components(g)
+
+
+def test_components_equal_frozen_bfs_on_large_graphs():
+    # a sparse graph of many components (mean degree about 1), and a path
+    # whose vertex numbers are shuffled, so its BFS visits them out of order
+    sparse = random_graph(GeneratorConfig(2000, 0.0005, 0.05, seed=2000))
+    order = (np.random.default_rng(2000).permutation(2000) + 1).tolist()
+    path = graph_from_edges(2000, zip(order, order[1:]))
+    for g in (sparse, path):
+        assert connected_components(g) == reference_connected_components(g)
+    assert connected_components(sparse).count > 100
+    assert connected_components(path).count == 1
 
 
 def test_pseudo_connected_needs_a_loop_per_component():
@@ -247,7 +288,9 @@ TEXT_VARIANTS = {
     "leading zeros": (lambda t: "0" + t.replace(" ", " 00"), True),
     "comments": (lambda t: "# a graph\n" + t.replace("\n", "\n# an edge\n", 2), False),
     "crlf": (lambda t: t.replace("\n", "\r\n"), False),
+    "cr": (lambda t: t.replace("\n", "\r"), False),
     "tabs": (lambda t: t.replace(" ", "\t"), False),
+    "runs of tabs and spaces": (lambda t: t.replace(" ", " \t ").replace("\n", "\t\n  "), False),
 }
 
 
@@ -319,6 +362,33 @@ def test_parse_equals_frozen_line_loop_on_near_plain_text(lines):
 @given(st.text(alphabet="0123456789 \n\r\t#+-_x\u0661", max_size=30))
 def test_parse_equals_frozen_line_loop_on_arbitrary_text(text):
     assert _parse_plain(text.encode()) in (None, assert_parses_like_reference(text))
+
+
+# Texts that end a line or separate fields with a character the grammar does
+# not allow there, though str.splitlines() or str.split() would. The frozen
+# loop reads each as the edge (1, 2); parse_edge_list must raise on the given
+# line, so these are checked on their own.
+FOREIGN_SEPARATORS = {
+    "file separator": ("2 1\x1c1 2", 1),
+    "vertical tab": ("2 1\x0b1 2", 1),
+    "form feed": ("2 1\x0c1 2", 1),
+    "next line": ("2 1\x851 2", 1),
+    "line separator": ("2 1\u20281 2", 1),
+    "paragraph separator": ("2 1\u20291 2", 1),
+    "ideographic space": ("2 1\n1\u30002", 2),
+    "no-break space": ("2 1\n1\xa02", 2),
+    "no-break space padding": ("2 1\n1 2\xa0", 2),
+    "form feed padding": ("\x0c2 1\n1 2", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_SEPARATORS))
+def test_parse_rejects_separators_outside_the_grammar(name):
+    text, line = FOREIGN_SEPARATORS[name]
+    assert reference_parse_edge_list(text) == Graph(2, frozenset({(1, 2)}))
+    with pytest.raises(EdgeListError) as err:
+        parse_edge_list(text)
+    assert err.value.line == line
 
 
 @given(graphs())

@@ -130,8 +130,8 @@ def _assert_close_to_reference(m):
     route: eigenvalues within SOLVER_TOL * ||M||_F of it, and a residual and
     a loss of orthogonality within 16 n eps of LAPACK's backward error.
 
-    The ``test_bitwise_equal_to_reference_kernel_*`` names date from when
-    ``eigen_sym`` was that kernel; they keep their matrix sets."""
+    The two ``test_bitwise_equal_to_reference_kernel_*`` names left date from
+    when ``eigen_sym`` was that kernel; they keep their matrix sets."""
     m = np.asarray(m, dtype=np.float64)
     spec = eigen_sym(m)
     values, _ = reference_jacobi(m)
@@ -160,7 +160,7 @@ def test_bitwise_equal_to_reference_kernel_on_random_graphs(n):
 
 
 @pytest.mark.parametrize("sizes", [range(2, 13), (22, 26, 30)])
-def test_bitwise_equal_to_reference_kernel_on_what_verify_all_solves(monkeypatch, sizes):
+def test_close_to_reference_kernel_on_what_verify_all_solves(monkeypatch, sizes):
     # verify_all solves L(G) alone; the lift's block S, whose border carries
     # sqrt(2) entries, is held to the reference too as a float input
     solved, blocks = [], []
@@ -200,7 +200,7 @@ def float_symmetric(draw):
 
 @settings(deadline=None, max_examples=40)
 @given(float_symmetric())
-def test_bitwise_equal_to_reference_kernel_on_float_matrices(m):
+def test_close_to_reference_kernel_on_float_matrices(m):
     _assert_close_to_reference(m)
 
 
