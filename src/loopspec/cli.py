@@ -35,7 +35,7 @@ from .oracle import (
     enumerate_graphs,
     random_graph,
 )
-from .spectral import JacobiConvergenceError, MATCH_TOL, _solve_base, verify_all
+from .spectral import JacobiConvergenceError, MATCH_TOL, _check_match_tol, _solve_base, verify_all
 
 __all__ = ["MAX_DENSE_ORDER", "SweepResult", "main", "run_sweep"]
 
@@ -98,12 +98,9 @@ def _match_tol() -> float:
     if raw is None:
         return MATCH_TOL
     try:
-        tol = float(raw)
+        return _check_match_tol(float(raw))
     except ValueError:
-        raise ValueError(f"LOOPSPEC_TOL is not a number: {raw!r}") from None
-    if not 0 < tol < math.inf:
-        raise ValueError(f"LOOPSPEC_TOL must be a positive finite number, got {raw!r}")
-    return tol
+        raise ValueError(f"LOOPSPEC_TOL must be a positive finite number, got {raw!r}") from None
 
 
 def _load(path: str) -> Graph:
@@ -248,11 +245,13 @@ def run_sweep(
 
     A graph whose eigensolve does not converge is recorded as a failure with
     an ``error`` message instead of aborting the sweep. Raises ``ValueError``
-    before verifying anything when an exhaustive sweep asks for an ``n_max``
-    outside ``1..MAX_ENUM_VERTICES``, or a random one for an ``n_min`` outside
+    before verifying anything when ``match_tol`` is not a positive finite
+    number, when an exhaustive sweep asks for an ``n_max`` outside
+    ``1..MAX_ENUM_VERTICES``, or a random one for an ``n_min`` outside
     ``1..n_max``, a negative ``samples`` or a ``p_edge`` or ``p_loop``
     outside [0, 1].
     """
+    _check_match_tol(match_tol)
     if mode == "exhaustive" and not 1 <= n_max <= MAX_ENUM_VERTICES:
         raise ValueError(
             f"exhaustive sweeps need n-max >= 1 and are capped at n-max "

@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -89,13 +89,7 @@ class GeneratorConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p_edge": self.p_edge,
-            "p_loop": self.p_loop,
-            "seed": self.seed,
-            "require": self.require,
-        }
+        return asdict(self)
 
 
 def _meets(g: Graph, require: str) -> bool:

@@ -66,6 +66,14 @@ MATCH_TOL = 1e-8        # absolute eigenvalue match tolerance, scaled by max(1, 
 POSITIVITY_TOL = 1e-8   # positive-definiteness threshold, scaled by max(1, rho)
 
 
+def _check_match_tol(match_tol: float) -> float:
+    """``match_tol`` itself; ``ValueError`` unless 0 < match_tol < inf (NaN
+    included, which would pass or fail every match whatever the gap)."""
+    if not 0.0 < match_tol < math.inf:
+        raise ValueError(f"match_tol must be a positive finite number, got {match_tol}")
+    return match_tol
+
+
 class JacobiConvergenceError(RuntimeError):
     """The eigensolver did not converge. The name dates from the Jacobi
     solver and is kept for the callers that catch it: ``cli.main``,
@@ -202,8 +210,7 @@ def spectrum_subset(
     for interval matching on sorted sequences. Repeated eigenvalues therefore
     need matching multiplicity in ``b``.
     """
-    if match_tol <= 0:
-        raise ValueError(f"match_tol must be positive, got {match_tol}")
+    _check_match_tol(match_tol)
     av = _eigenvalue_array(a)
     bv = _eigenvalue_array(b)
     pairs: list[tuple[int, int]] = []
@@ -268,14 +275,20 @@ class VerificationReport:
 def _mirror_certificate(lap_lift: np.ndarray, lap: np.ndarray) -> bool:
     """Exact integer test of the mirror split of a lifted Laplacian.
 
-    Swapping the two vertex copies (and fixing the middle vertex) must leave
-    ``lap_lift`` unchanged, and its antisymmetric block, the top-left block
-    minus the top-right one, must be the base Laplacian ``lap``.
+    ``lap_lift`` must have order 2N + 1, N the order of ``lap``, and the
+    block form of :mod:`loopspec.lifting`: the second copy's blocks, middle
+    column and middle row repeat the first copy's, which is to say the copy
+    swap leaves it unchanged. Its antisymmetric block, the top-left block
+    minus the top-right one, must be the base Laplacian ``lap``. The blocks
+    are compared as views, so nothing of the lifted order is copied.
     """
     n = lap.shape[0]
-    perm = np.r_[n + 1 : 2 * n + 1, n, :n]
     return bool(
-        np.array_equal(lap_lift.take(perm, 0).take(perm, 1), lap_lift)
+        lap_lift.shape == (2 * n + 1, 2 * n + 1)
+        and np.array_equal(lap_lift[n + 1 :, n + 1 :], lap_lift[:n, :n])
+        and np.array_equal(lap_lift[n + 1 :, :n], lap_lift[:n, n + 1 :])
+        and np.array_equal(lap_lift[n + 1 :, n], lap_lift[:n, n])
+        and np.array_equal(lap_lift[n, n + 1 :], lap_lift[n, :n])
         and np.array_equal(lap_lift[:n, :n] - lap_lift[:n, n + 1 :], lap)
     )
 
@@ -334,8 +347,10 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     Absolute tolerances are ``match_tol`` scaled by max(1, spectral radius)
     of the matrix each check concerns; for the lift, lambda_max of its block
     S (:func:`_lifted_top`). Solver non-convergence, of either solve,
-    propagates as :class:`JacobiConvergenceError`.
+    propagates as :class:`JacobiConvergenceError`. Raises ``ValueError``
+    unless 0 < ``match_tol`` < inf.
     """
+    _check_match_tol(match_tol)
     lap, spec, components, pseudo, rows = _solve_base(g)
     lap_lift = laplacian_of(lift(g).lifted)
     vectors = spec.eigenvectors

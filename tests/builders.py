@@ -292,6 +292,19 @@ def reference_lifted_residual(lap_lift: np.ndarray, spec) -> tuple[float, float]
     return gap, float(np.sqrt((res * res).sum(axis=0)).max())
 
 
+def reference_mirror_certificate(lap_lift: np.ndarray, lap: np.ndarray) -> bool:
+    """Frozen copy of ``spectral._mirror_certificate`` before it compared
+    LL's blocks in place: two full copies of ``lap_lift`` permuted by the
+    copy swap, compared whole, and the A - B == L(G) conjunct. On an order
+    other than 2N + 1 it returns False or raises ``IndexError``."""
+    n = lap.shape[0]
+    perm = np.r_[n + 1 : 2 * n + 1, n, :n]
+    return bool(
+        np.array_equal(lap_lift.take(perm, 0).take(perm, 1), lap_lift)
+        and np.array_equal(lap_lift[:n, :n] - lap_lift[:n, n + 1 :], lap)
+    )
+
+
 def misrouted_spoke(g: Graph) -> LiftedGraph:
     """A lift whose spoke (middle, v + middle) lands on a loopless vertex w
     of the second copy instead; ``g`` needs a loop and a loopless vertex."""

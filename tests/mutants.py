@@ -1,0 +1,133 @@
+"""Mutation runner: each row of ``MUTANTS`` plants one fault in a fresh
+temporary copy of the repository, and ``pytest -x -q`` runs there. The
+mutant is killed when the suite fails, and survives when it passes.
+
+Run it from any directory as ``python tests/mutants.py``. Each row costs
+up to one full suite run (about 20 s on 2 vCPUs), so the runner stays out
+of the suite: pytest does not collect this file. It first runs the suite on
+an unmutated copy, since a failing suite would kill every mutant. It exits 1
+when a mutant survives, the unmutated copy fails, or a row's old text does
+not occur exactly once in its file. It copies the working tree as it
+stands, so leave the tree alone while it runs. Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPECTRAL = "src/loopspec/spectral.py"
+
+# (name, file, exact old text, new text)
+MUTANTS = [
+    (
+        "certificate-without-its-order-check",
+        SPECTRAL,
+        "lap_lift.shape == (2 * n + 1, 2 * n + 1)\n        and ",
+        "",
+    ),
+    (
+        "certificate-without-the-second-a",
+        SPECTRAL,
+        "        and np.array_equal(lap_lift[n + 1 :, n + 1 :], lap_lift[:n, :n])\n",
+        "",
+    ),
+    (
+        "certificate-without-the-second-b",
+        SPECTRAL,
+        "        and np.array_equal(lap_lift[n + 1 :, :n], lap_lift[:n, n + 1 :])\n",
+        "",
+    ),
+    (
+        "certificate-without-the-middle-column",
+        SPECTRAL,
+        "        and np.array_equal(lap_lift[n + 1 :, n], lap_lift[:n, n])\n",
+        "",
+    ),
+    (
+        "certificate-without-the-middle-row",
+        SPECTRAL,
+        "        and np.array_equal(lap_lift[n, n + 1 :], lap_lift[n, :n])\n",
+        "",
+    ),
+    (
+        "certificate-without-a-minus-b",
+        SPECTRAL,
+        "        and np.array_equal(lap_lift[:n, :n] - lap_lift[:n, n + 1 :], lap)\n",
+        "",
+    ),
+    (
+        "kahan-gap-without-its-divisor",
+        SPECTRAL,
+        "float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if",
+        "float(np.linalg.norm(res)) if",
+    ),
+    (
+        "lift-eigvec-reads-the-mean-column",
+        SPECTRAL,
+        "worst_res = float(np.sqrt((res * res).sum(axis=0)).max())",
+        "worst_res = float(np.sqrt((res * res).sum(axis=0)).mean())",
+    ),
+    (
+        "eq6-interval-plus-2",
+        SPECTRAL,
+        "interval_bound = 2.0 * _max_nonloop_degree(g) + 1.0",
+        "interval_bound = 2.0 * _max_nonloop_degree(g) + 2.0",
+    ),
+    (
+        "match-tol-admits-infinity",
+        SPECTRAL,
+        "if not 0.0 < match_tol < math.inf:",
+        "if not 0.0 < match_tol:",
+    ),
+]
+
+_IGNORED = shutil.ignore_patterns(
+    ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", ".perfbench-*"
+)
+
+
+def _suite_passes(old: str = "", new: str = "", path: str = "") -> bool:
+    """Copy the repository, replace ``old`` by ``new`` in ``path`` (nothing
+    when ``path`` is empty) and run the suite there."""
+    with tempfile.TemporaryDirectory(prefix="loopspec-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=_IGNORED)
+        if path:
+            target = copy / path
+            target.write_text(target.read_text().replace(old, new))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=copy,
+            env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        return result.returncode == 0
+
+
+def main() -> int:
+    stale = [name for name, path, old, _ in MUTANTS if (ROOT / path).read_text().count(old) != 1]
+    if stale:
+        print(f"old text does not occur exactly once: {stale}")
+        return 1
+    if not _suite_passes():
+        print("the unmutated suite fails, so no mutant can be judged")
+        return 1
+    survivors = []
+    for name, path, old, new in MUTANTS:
+        killed = not _suite_passes(old, new, path)
+        print(f"{'killed' if killed else 'survived':<9}{name}", flush=True)
+        if not killed:
+            survivors.append(name)
+    print(f"{len(MUTANTS) - len(survivors)} killed, {len(survivors)} survived of {len(MUTANTS)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

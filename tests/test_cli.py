@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -328,6 +329,18 @@ def test_run_sweep_checks_exhaustive_cap_before_verifying(monkeypatch):
     monkeypatch.setattr(cli, "verify_all", fail)
     with pytest.raises(ValueError, match="capped"):
         run_sweep("exhaustive", n_max=MAX_ENUM_VERTICES + 1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_run_sweep_checks_match_tol_before_drawing(monkeypatch, tol):
+    def fail(*args, **kwargs):
+        raise AssertionError("drew a graph before checking match_tol")
+
+    monkeypatch.setattr(cli, "enumerate_graphs", fail)
+    monkeypatch.setattr(cli, "random_graph", fail)
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(ValueError, match="match_tol"):
+            run_sweep(mode, n_max=3, samples=2, match_tol=tol)
 
 
 def test_sweep_zero_samples(capsys):

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from builders import (
     reference_jacobi,
     reference_lifted_residual,
     reference_lifted_top,
+    reference_mirror_certificate,
     residual,
     symmetric_block,
     with_all_loops,
@@ -130,8 +132,8 @@ def _assert_close_to_reference(m):
     route: eigenvalues within SOLVER_TOL * ||M||_F of it, and a residual and
     a loss of orthogonality within 16 n eps of LAPACK's backward error.
 
-    The two ``test_bitwise_equal_to_reference_kernel_*`` names left date from
-    when ``eigen_sym`` was that kernel; they keep their matrix sets."""
+    The ``test_bitwise_equal_to_reference_kernel_on_random_graphs`` name
+    dates from when ``eigen_sym`` was that kernel; it keeps its matrix set."""
     m = np.asarray(m, dtype=np.float64)
     spec = eigen_sym(m)
     values, _ = reference_jacobi(m)
@@ -143,7 +145,7 @@ def _assert_close_to_reference(m):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_bitwise_equal_to_reference_kernel_on_all_small_graphs(n):
+def test_close_to_reference_kernel_on_all_small_graphs(n):
     # every graph with n <= 4 (1098 in all) and its lift
     for g in enumerate_graphs(n):
         _assert_close_to_reference(laplacian_of(g))
@@ -368,6 +370,12 @@ def test_report_json_shape():
     assert set(d["graph"]) == {"n", "q", "components", "pseudo_connected"}
     assert all(set(c) == {"id", "pass", "margin"} for c in d["checks"])
     assert d["graph"]["q"] == 1
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_verify_all_refuses_a_match_tol_out_of_range(tol):
+    with pytest.raises(ValueError, match="match_tol"):
+        verify_all(graph_from_edges(2, [(1, 1), (1, 2)]), match_tol=tol)
 
 
 def test_tiny_tolerance_fails_the_match_checks():
@@ -597,6 +605,88 @@ def test_a_miswired_lift_fails_the_lifted_claims(monkeypatch, bad_lift, swap_sym
         assert not checks[cid].passed and checks[cid].margin == -math.inf, checks[cid]
     for cid in ("eq8", "lemma1"):
         assert checks[cid].passed, checks[cid]
+
+
+def test_mirror_certificate_equals_the_reference_on_the_campaigns(monkeypatch):
+    # criteria 2 and 3's graphs, drawn by run_sweep, each with its lift and
+    # every miswired lift that applies to it
+    drawn = []
+    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: drawn.append(g))
+    run_sweep(mode="exhaustive", n_max=4)
+    run_sweep(
+        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
+    )
+    assert len(drawn) == 1098 + 1000
+    for g in drawn:
+        lap = laplacian_of(g)
+        builders = [lift]
+        if 0 < g.loop_count < g.n:
+            builders.append(misrouted_spoke)
+        if len(g.edges) > g.loop_count:
+            builders += [_dropped_copy_edge, _dropped_mirrored_pair]
+        for build in builders:
+            lap_lift = laplacian_of(build(g).lifted)
+            verdict = spectral._mirror_certificate(lap_lift, lap)
+            assert verdict == reference_mirror_certificate(lap_lift, lap), (g, build)
+            assert verdict == (build is lift), (g, build)
+
+
+@pytest.mark.parametrize("part", [None, "A", "B", "column", "row", "lap"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_mirror_certificate_equals_the_reference_on_block_matrices(part, data):
+    # LL in the mirror block form [[A, c, B], [r, d, r], [B, c, A]] from
+    # random integer blocks, neither symmetric nor a Laplacian, with L(G) =
+    # A - B. One entry of the second copy's A or B, of its middle column or
+    # row, or of L(G) is then perturbed, so each conjunct is the only one
+    # that rejects some case. On graph Laplacians the B and middle-row
+    # conjuncts follow from the others, so only these matrices reach them.
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    entries = st.integers(min_value=-9, max_value=9)
+    a, b = (data.draw(arrays(np.int64, (n, n), elements=entries)) for _ in range(2))
+    c, r = (data.draw(arrays(np.int64, (n, 1), elements=entries)) for _ in range(2))
+    d = np.full((1, 1), data.draw(entries))
+    lap_lift = np.block([[a, c, b], [r.T, d, r.T], [b, c, a]])
+    lap = a - b
+    if part is not None:
+        view = {
+            "A": lap_lift[n + 1 :, n + 1 :],
+            "B": lap_lift[n + 1 :, :n],
+            "column": lap_lift[n + 1 :, n],
+            "row": lap_lift[n, n + 1 :],
+            "lap": lap,
+        }[part]
+        at = np.unravel_index(data.draw(st.integers(0, view.size - 1)), view.shape)
+        view[at] += data.draw(entries.filter(bool))
+    verdict = spectral._mirror_certificate(lap_lift, lap)
+    assert verdict == reference_mirror_certificate(lap_lift, lap)
+    assert verdict == (part is None)
+
+
+def test_mirror_certificate_refuses_every_other_order_without_raising():
+    # The frozen certificate returns False there or raises IndexError.
+    rng = np.random.default_rng(5)
+    for n in range(6):
+        for order in set(range(14)) - {2 * n + 1}:
+            for fill in (np.zeros, lambda shape: rng.integers(-2, 3, size=shape)):
+                lap_lift, lap = fill((order, order)), fill((n, n))
+                assert spectral._mirror_certificate(lap_lift, lap) is False, (n, order)
+                try:
+                    assert not reference_mirror_certificate(lap_lift, lap), (n, order)
+                except IndexError:
+                    pass
+
+
+def test_mirror_certificate_copies_nothing_of_the_lifted_order():
+    g = random_graph(GeneratorConfig(400, 0.01, 0.3, seed=1))
+    lap, lap_lift = laplacian_of(g), laplacian_of(lift(g).lifted)
+    tracemalloc.start()
+    try:
+        assert spectral._mirror_certificate(lap_lift, lap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lap_lift.nbytes / 2, (peak, lap_lift.nbytes)
 
 
 def test_a_perturbed_base_eigenvector_fails_the_lifted_claims(monkeypatch):
