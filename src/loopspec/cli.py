@@ -208,19 +208,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _verify_one(g: Graph, match_tol: float, **origin) -> dict | None:
-    """Verify ``g``; None if it passes, else a record that leads with its
-    witness ``origin``. A solver that does not converge fails this graph
-    only, so the campaign goes on."""
+def _verify_one(g: Graph, match_tol: float) -> dict | None:
+    """Verify ``g``; None if it passes, else its failure fields, to which
+    :func:`run_sweep` prepends the witness. A solver that does not converge
+    fails this graph only, so the campaign goes on."""
     try:
         report = verify_all(g, match_tol=match_tol)
     except JacobiConvergenceError as exc:
-        return {**origin, "error": str(exc)}
+        return {"error": str(exc)}
     if report.passed:
         return None
     failed = report.failed_checks()
     return {
-        **origin,
         "failed_checks": [c.id for c in failed],
         "margins": {c.id: c.margin for c in failed},
     }
@@ -245,12 +244,14 @@ def run_sweep(
 
     A graph whose eigensolve does not converge is recorded as a failure with
     an ``error`` message instead of aborting the sweep. Raises ``ValueError``
-    before verifying anything when ``match_tol`` is not a positive finite
-    number, when an exhaustive sweep asks for an ``n_max`` outside
-    ``1..MAX_ENUM_VERTICES``, or a random one for an ``n_min`` outside
-    ``1..n_max``, a negative ``samples`` or a ``p_edge`` or ``p_loop``
-    outside [0, 1].
+    before verifying anything when ``mode`` is neither ``"exhaustive"`` nor
+    ``"random"``, when ``match_tol`` is not a positive finite number, when an
+    exhaustive sweep asks for an ``n_max`` outside ``1..MAX_ENUM_VERTICES``,
+    or a random one for an ``n_min`` outside ``1..n_max``, a negative
+    ``samples`` or a ``p_edge`` or ``p_loop`` outside [0, 1].
     """
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
     _check_match_tol(match_tol)
     if mode == "exhaustive" and not 1 <= n_max <= MAX_ENUM_VERTICES:
         raise ValueError(
@@ -264,11 +265,13 @@ def run_sweep(
             raise ValueError(f"samples must not be negative, got {samples}")
         # GeneratorConfig's own probability checks, before anything is drawn
         GeneratorConfig(n=n_max, p_edge=p_edge, p_loop=p_loop, seed=0)
-    records: list[dict | None] = []
+    total, failures = 0, []
     if mode == "exhaustive":
         for n in range(1, n_max + 1):
             for index, g in enumerate(enumerate_graphs(n)):
-                records.append(_verify_one(g, match_tol, n=n, index=index))
+                total += 1
+                if (failure := _verify_one(g, match_tol)) is not None:
+                    failures.append({"n": n, "index": index, **failure})
     else:
         root = np.random.default_rng(seed)
         child_seeds = root.integers(0, 2**63, size=samples, dtype=np.uint64)
@@ -280,11 +283,10 @@ def run_sweep(
                 p_loop=p_loop,
                 seed=int(child_seeds[i]),
             )
-            records.append(
-                _verify_one(random_graph(cfg), match_tol, sample=i, config=cfg.to_json_dict())
-            )
-    failures = tuple(r for r in records if r is not None)
-    return SweepResult(mode, len(records), len(records) - len(failures), failures)
+            total += 1
+            if (failure := _verify_one(random_graph(cfg), match_tol)) is not None:
+                failures.append({"sample": i, "config": cfg.to_json_dict(), **failure})
+    return SweepResult(mode, total, total - len(failures), tuple(failures))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

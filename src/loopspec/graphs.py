@@ -163,7 +163,6 @@ def _max_nonloop_degree(g: Graph) -> int:
 # parse/format up to comments and edge order.
 
 _MAX_PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: a decoded token fits in int64
-_POWERS = 10 ** np.arange(_MAX_PLAIN_DIGITS - 1, -1, -1, dtype=np.int64)
 
 
 def _parse_plain(data: bytes) -> Graph | None:
@@ -174,31 +173,24 @@ def _parse_plain(data: bytes) -> Graph | None:
     Reads the format above with only spaces and newlines between fields:
     exactly two tokens on every non-blank line, tokens of at most 18 digits,
     n >= 1, endpoints in 1..n and exactly the declared number of distinct
-    edges. Everything else (comments, CRLF, tabs, any malformed file) is left
-    to the loop, so the loop alone defines the grammar's errors.
+    edges. Once the tokens are checked, numpy's integer parser decodes them.
+    Everything else (comments, CRLF, tabs, any malformed file) is left to the
+    loop, so the loop alone defines the grammar's errors.
     """
     if data.translate(None, b"0123456789 \n"):
         return None
-    # Leading spaces give every token a full window of 18 bytes before its end.
-    buf = np.frombuffer(b" " * _MAX_PLAIN_DIGITS + data + b" ", dtype=np.uint8)
+    buf = np.frombuffer(b" " + data + b" ", dtype=np.uint8)
     is_digit = buf > 32  # past the check above, only digits lie above b" "
     bounds = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
     starts, ends = bounds[0::2], bounds[1::2]
     if starts.size < 2 or starts.size % 2:
         return None
-    lengths = ends - starts
-    width = int(lengths.max())
-    if width > _MAX_PLAIN_DIGITS:
+    if int((ends - starts).max()) > _MAX_PLAIN_DIGITS:
         return None
     line = np.searchsorted(np.flatnonzero(buf == 10), starts)  # newlines before each token
     if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] == line[1:-1:2]):
         return None
-    # Right-align every token in a (tokens, width) window of byte values
-    # minus b"0", zero what lies left of the token (separators, which wrap
-    # around in uint8, and earlier digits), and decode every token with one
-    # product by the powers of ten.
-    window = buf[ends[:, None] - np.arange(width, 0, -1)] - np.uint8(48)
-    values = (window * (np.arange(width) >= width - lengths[:, None])) @ _POWERS[-width:]
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
     n, declared = int(values[0]), int(values[1])
     lo = np.minimum(values[2::2], values[3::2])
     hi = np.maximum(values[2::2], values[3::2])

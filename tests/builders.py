@@ -145,6 +145,57 @@ def reference_parse_edge_list(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+# The frozen kernel's own constants, so that a change to graphs.py's cap
+# leaves the reference as it was.
+_MAX_PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: a decoded token fits in int64
+_POWERS = 10 ** np.arange(_MAX_PLAIN_DIGITS - 1, -1, -1, dtype=np.int64)
+
+
+def reference_parse_plain(data: bytes) -> Graph | None:
+    """Frozen copy of ``graphs._parse_plain`` before numpy's integer parser
+    decoded its tokens: each token is decoded by a product of its byte window
+    with the powers of ten. The kernel must return the same Graph or the same
+    ``None``, so the same files stay on the fast path.
+
+    Reads the edge-list format with only spaces and newlines between fields:
+    exactly two tokens on every non-blank line, tokens of at most 18 digits,
+    n >= 1, endpoints in 1..n and exactly the declared number of distinct
+    edges. Everything else (comments, CRLF, tabs, any malformed file) is left
+    to the loop, so the loop alone defines the grammar's errors.
+    """
+    if data.translate(None, b"0123456789 \n"):
+        return None
+    # Leading spaces give every token a full window of 18 bytes before its end.
+    buf = np.frombuffer(b" " * _MAX_PLAIN_DIGITS + data + b" ", dtype=np.uint8)
+    is_digit = buf > 32  # past the check above, only digits lie above b" "
+    bounds = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    if starts.size < 2 or starts.size % 2:
+        return None
+    lengths = ends - starts
+    width = int(lengths.max())
+    if width > _MAX_PLAIN_DIGITS:
+        return None
+    line = np.searchsorted(np.flatnonzero(buf == 10), starts)  # newlines before each token
+    if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] == line[1:-1:2]):
+        return None
+    # Right-align every token in a (tokens, width) window of byte values
+    # minus b"0", zero what lies left of the token (separators, which wrap
+    # around in uint8, and earlier digits), and decode every token with one
+    # product by the powers of ten.
+    window = buf[ends[:, None] - np.arange(width, 0, -1)] - np.uint8(48)
+    values = (window * (np.arange(width) >= width - lengths[:, None])) @ _POWERS[-width:]
+    n, declared = int(values[0]), int(values[1])
+    lo = np.minimum(values[2::2], values[3::2])
+    hi = np.maximum(values[2::2], values[3::2])
+    if n < 1 or lo.size != declared or np.any(lo < 1) or np.any(hi > n):
+        return None
+    edges = frozenset(zip(lo.tolist(), hi.tolist()))
+    if len(edges) != declared:
+        return None
+    return Graph(n, edges)
+
+
 def reference_format_edge_list(g: Graph) -> str:
     """Frozen copy of ``format_edge_list`` before it sorted and rendered in
     numpy: the header, then one f-string per edge, sorted by the key

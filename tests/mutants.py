@@ -22,6 +22,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECTRAL = "src/loopspec/spectral.py"
+GRAPHS = "src/loopspec/graphs.py"
+CLI = "src/loopspec/cli.py"
 
 # (name, file, exact old text, new text)
 MUTANTS = [
@@ -84,6 +86,61 @@ MUTANTS = [
         SPECTRAL,
         "if not 0.0 < match_tol < math.inf:",
         "if not 0.0 < match_tol:",
+    ),
+    (
+        "plain-kernel-reads-19-digit-tokens",
+        GRAPHS,
+        "_MAX_PLAIN_DIGITS = 18",
+        "_MAX_PLAIN_DIGITS = 19",
+    ),
+    (
+        "plain-kernel-without-pairs-on-one-line",
+        GRAPHS,
+        "np.any(line[0::2] != line[1::2]) or ",
+        "",
+    ),
+    (
+        "plain-kernel-without-one-pair-per-line",
+        GRAPHS,
+        " or np.any(line[2::2] == line[1:-1:2])",
+        "",
+    ),
+    (
+        "plain-kernel-admits-n-0",
+        GRAPHS,
+        "if n < 1 or lo.size",
+        "if lo.size",
+    ),
+    (
+        "plain-kernel-admits-endpoint-0",
+        GRAPHS,
+        " or np.any(lo < 1) or",
+        " or",
+    ),
+    (
+        "plain-kernel-admits-endpoints-above-n",
+        GRAPHS,
+        " or np.any(hi > n):",
+        ":",
+    ),
+    (
+        "plain-kernel-without-the-token-count",
+        GRAPHS,
+        " or lo.size != declared or",
+        " or",
+    ),
+    (
+        "plain-kernel-without-the-edge-count",
+        GRAPHS,
+        "    if len(edges) != declared:\n        return None\n",
+        "",
+    ),
+    (
+        "run-sweep-admits-any-mode",
+        CLI,
+        "    if mode not in (\"exhaustive\", \"random\"):\n"
+        "        raise ValueError(f\"mode must be 'exhaustive' or 'random', got {mode!r}\")\n",
+        "",
     ),
 ]
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -343,6 +344,59 @@ def test_run_sweep_checks_match_tol_before_drawing(monkeypatch, tol):
             run_sweep(mode, n_max=3, samples=2, match_tol=tol)
 
 
+@pytest.mark.parametrize("mode", ["Exhaustive", "", "exhastive"])
+def test_run_sweep_refuses_an_unknown_mode(monkeypatch, mode):
+    def fail(*args, **kwargs):
+        raise AssertionError("drew a graph before checking the mode")
+
+    monkeypatch.setattr(cli, "enumerate_graphs", fail)
+    monkeypatch.setattr(cli, "random_graph", fail)
+    with pytest.raises(ValueError, match="mode must be 'exhaustive' or 'random'"):
+        run_sweep(mode, n_max=3, samples=5)
+
+
+def test_passing_random_sweep_builds_no_witness(monkeypatch):
+    calls = []
+    to_json_dict = GeneratorConfig.to_json_dict
+
+    def counted(cfg):
+        calls.append(cfg)
+        return to_json_dict(cfg)
+
+    monkeypatch.setattr(GeneratorConfig, "to_json_dict", counted)
+    result = run_sweep("random", n_max=6, samples=50, seed=1)
+    assert (result.total, result.passed, result.failures) == (50, 50, ())
+    assert calls == []
+
+
+def _expected_failure(witness: dict, g, match_tol: float) -> dict:
+    failed = verify_all(g, match_tol=match_tol).failed_checks()
+    return {
+        **witness,
+        "failed_checks": [c.id for c in failed],
+        "margins": {c.id: c.margin for c in failed},
+    }
+
+
+def test_failing_sweep_records_keep_their_content_and_key_order():
+    # a match_tol of 1e-300 fails every check whose residual is not exactly 0
+    tol = 1e-300
+    sampled = run_sweep("random", n_max=5, samples=12, seed=2, match_tol=tol)
+    assert sampled.failures and sampled.passed
+    for f in sampled.failures:
+        cfg = GeneratorConfig(**f["config"])
+        witness = {"sample": f["sample"], "config": asdict(cfg)}
+        want = _expected_failure(witness, random_graph(cfg), tol)
+        assert list(f.items()) == list(want.items())
+    exhaustive = run_sweep("exhaustive", n_max=2, match_tol=tol)
+    assert exhaustive.failures and exhaustive.passed
+    graphs = {(n, i): g for n in (1, 2) for i, g in enumerate(enumerate_graphs(n))}
+    for f in exhaustive.failures:
+        witness = {"n": f["n"], "index": f["index"]}
+        want = _expected_failure(witness, graphs[f["n"], f["index"]], tol)
+        assert list(f.items()) == list(want.items())
+
+
 def test_sweep_zero_samples(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--mode", "random", "--n-max", "4", "--samples", "0"
@@ -370,7 +424,7 @@ def test_sweep_random_small(capsys):
 
 def test_sweep_bad_range(capsys, monkeypatch):
     verified = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: verified.append(g))
+    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol: verified.append(g))
     for args, named in [
         (("--mode", "random", "--n-max", "3", "--n-min", "9"), "n-min"),
         (("--mode", "random", "--n-max", "3", "--n-min", "-2", "--samples", "5"), "n-min"),

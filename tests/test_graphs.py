@@ -29,6 +29,7 @@ from builders import (
     reference_connected_components,
     reference_format_edge_list,
     reference_parse_edge_list,
+    reference_parse_plain,
     with_all_loops,
 )
 
@@ -118,7 +119,7 @@ def test_components_equal_frozen_bfs_on_all_small_graphs(n):
 
 def test_components_equal_frozen_bfs_on_criterion_3_graphs(monkeypatch):
     drawn = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol, **origin: drawn.append(g))
+    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol: drawn.append(g))
     run_sweep(
         mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
     )
@@ -301,6 +302,7 @@ def test_parse_equals_frozen_line_loop(variant, g):
     text = rewrite(format_edge_list(g))
     assert assert_parses_like_reference(text) == g
     assert _parse_plain(text.encode()) == (g if kernel_reads else None)
+    assert _parse_plain(text.encode()) == reference_parse_plain(text.encode())
 
 
 # Texts the kernel must leave to the line loop: each is invalid, except the
@@ -341,6 +343,7 @@ PLAIN_DECLINES = {
 def test_parse_plain_declines_what_the_loop_must_judge(name):
     text = PLAIN_DECLINES[name]
     assert _parse_plain(text.encode()) is None
+    assert reference_parse_plain(text.encode()) is None
     assert_parses_like_reference(text)
 
 
@@ -352,11 +355,50 @@ def test_parse_plain_decodes_eighteen_digit_tokens():
     assert assert_parses_like_reference(text) == want
 
 
+def _digit_tokens(width: int) -> list[str]:
+    """Tokens of exactly ``width`` digits: the largest and smallest without
+    leading zeros, and 0, 1 and 2 padded with leading zeros."""
+    return ["9" * width, "1" + "0" * (width - 1), "0" * width, "1".zfill(width), "2".zfill(width)]
+
+
+def test_parse_plain_equals_frozen_kernel_around_the_digit_cap():
+    # each token in each of the four places: n, the edge count, either endpoint
+    big = 10**18 - 1
+    for width in range(1, 21):
+        for tok in _digit_tokens(width):
+            texts = [f"{tok} 0\n", f"2 {tok}\n1 2\n", f"{big} 1\n{tok} 1\n", f"{big} 1\n1 {tok}\n"]
+            for text in texts:
+                data = text.encode()
+                assert _parse_plain(data) == reference_parse_plain(data), text
+        # n = 99...9 is read up to 18 digits and left to the loop from 19 on
+        read = _parse_plain(f"{'9' * width} 0\n".encode())
+        assert (read is not None) == (width <= 18), width
+
+
+def test_parse_plain_equals_frozen_kernel_on_criterion_3_graphs(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol: drawn.append(g))
+    run_sweep(
+        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
+    )
+    assert len(drawn) == 1000
+    for g in drawn:
+        data = format_edge_list(g).encode()
+        assert _parse_plain(data) == reference_parse_plain(data) == g, g
+
+
+@given(st.sampled_from(["", "3 2\n"]), st.text(alphabet="0123456789 \n", max_size=40))
+def test_parse_plain_equals_frozen_kernel_on_its_alphabet(header, body):
+    data = (header + body).encode()
+    assert _parse_plain(data) == reference_parse_plain(data)
+
+
 @given(st.lists(st.lists(st.from_regex(r"[0-9]{1,3}", fullmatch=True), max_size=4), max_size=6))
 def test_parse_equals_frozen_line_loop_on_near_plain_text(lines):
     # small numbers, zeros and leading zeros on lines of zero to four tokens
     text = "\n".join(" ".join(line) for line in lines)
     assert _parse_plain(text.encode()) in (None, assert_parses_like_reference(text))
+    assert _parse_plain(text.encode()) == reference_parse_plain(text.encode())
 
 
 @given(st.text(alphabet="0123456789 \n\r\t#+-_x\u0661", max_size=30))
