@@ -40,7 +40,7 @@ from .spectral import JacobiConvergenceError, MATCH_TOL, _check_match_tol, _solv
 __all__ = ["MAX_DENSE_ORDER", "SweepResult", "main", "run_sweep"]
 
 # Largest dense matrix order analyze (order n), verify (order 2n+1) and sweep
-# (order 2 n-max + 1) build. At this order the int32 Laplacian takes 64 MiB
+# (order 2 n-max + 1) build. At this order the int16 Laplacian takes 32 MiB
 # and the float64 copy that the solver reads 128 MiB.
 MAX_DENSE_ORDER = 4096
 

@@ -1,9 +1,11 @@
 """Laplacian matrices for graphs with self-loops.
 
-Matrix row/column k corresponds to vertex k+1. The Laplacian is dense int32
-numpy (entries in [-1, n]), scattered from the edge array: -1 at each
-non-loop pair, and on the diagonal the degree plus 1 per loop. It equals
-E^T E and D - A exactly, as the test suite checks with its own E, D and A.
+Matrix row/column k corresponds to vertex k+1. The Laplacian is a dense
+numpy array of the narrowest signed integer type whose maximum exceeds n
+(int8 up to n = 126, int16 up to n = 32766), scattered from the edge array:
+-1 at each non-loop pair, and on the diagonal the degree plus 1 per loop.
+It equals E^T E and D - A exactly, as the test suite checks with its own E,
+D and A.
 """
 
 from __future__ import annotations
@@ -18,21 +20,31 @@ __all__ = ["laplacian_of", "format_matrix"]
 
 
 def laplacian_of(g: Graph) -> np.ndarray:
-    """Symmetric int32 Laplacian, equal to E^T E and D - A. One scatter writes
-    -1 at (i, j) and (j, i) for each non-loop edge {i, j} (``Graph`` holds no
-    multi-edges); the diagonal, written last over the -1 a loop puts at (i, i),
-    is the degree with a loop counted once. int32 suffices: the solvers cast
-    to float64, the oracle and ``analyze`` read ``tolist()``, and the mirror
-    certificate only permutes, subtracts and compares entries within
-    +-(n + 1); nothing multiplies two integer Laplacians.
+    """Symmetric integer Laplacian, equal to E^T E and D - A. One scatter
+    writes -1 at (i, j) and (j, i) for each non-loop edge {i, j} (``Graph``
+    holds no multi-edges); the diagonal, written last over the -1 a loop puts
+    at (i, i), is the degree with a loop counted once. The dtype,
+    ``_entry_dtype(n)``, holds every entry (in [-1, n]) and every difference
+    of two (within +-(n + 1), the mirror certificate's A - B); nothing else
+    is integer arithmetic, since the solvers cast to float64 and the oracle
+    and ``analyze`` read ``tolist()``.
     """
     n, m = g.n, len(g.edges)
     e = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp, 2 * m).reshape(m, 2) - 1
     i, j = e[:, 0], e[:, 1]
-    lap = np.zeros((n, n), dtype=np.int32)
+    lap = np.zeros((n, n), dtype=_entry_dtype(n))
     lap[i, j] = lap[j, i] = -1
     lap.flat[:: n + 1] = np.bincount(e.ravel(), minlength=n) - np.bincount(i[i == j], minlength=n)
     return lap
+
+
+_SIGNED = tuple((np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def _entry_dtype(n: int) -> type:
+    """The narrowest signed integer type whose maximum exceeds ``n``. Not
+    ``np.result_type``, whose answer for a Python int moved with NEP 50."""
+    return next(t for top, t in _SIGNED if top > n)
 
 
 def format_matrix(m: np.ndarray) -> str:

@@ -305,7 +305,9 @@ def _lifted_top(lap_lift: np.ndarray, lap: np.ndarray) -> float:
     n = lap.shape[0]
     s = np.empty((n + 1, n + 1))
     s[:n, :n] = lap
-    s[:n, n] = s[n, :n] = math.sqrt(2.0) * lap_lift[:n, n]
+    # Cast before scaling: numpy 1.x multiplies an int8 (int16) array by a
+    # Python float in float16 (float32).
+    s[:n, n] = s[n, :n] = math.sqrt(2.0) * lap_lift[:n, n].astype(np.float64)
     s[n, n] = lap_lift[n, n]
     try:
         return float(np.linalg.eigvalsh(s)[-1])
@@ -354,8 +356,12 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     lap, spec, components, pseudo, rows = _solve_base(g)
     lap_lift = laplacian_of(lift(g).lifted)
     vectors = spec.eigenvectors
-    res = lap @ vectors - vectors * spec.eigenvalues
-    eta = float(np.linalg.norm(vectors.T @ vectors - np.eye(g.n)))
+    res = lap @ vectors
+    res -= vectors * spec.eigenvalues
+    gram = vectors.T @ vectors
+    gram.flat[:: g.n + 1] -= 1.0
+    eta = float(np.linalg.norm(gram))
+    del gram  # N^2 floats that nothing reads past eta
     gap = worst_res = math.inf
     if _mirror_certificate(lap_lift, lap):  # res's column norms are then the lift's
         worst_res = float(np.sqrt((res * res).sum(axis=0)).max())

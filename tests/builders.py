@@ -43,6 +43,12 @@ def star_graph(n: int) -> Graph:
     return graph_from_edges(n, [(1, j) for j in range(2, n + 1)])
 
 
+def looped_hub(n: int) -> Graph:
+    """Vertex 1 looped and joined to all others: its diagonal entry n is the
+    largest entry a Laplacian of order n can hold."""
+    return Graph(n, star_graph(n).edges | {(1, 1)})
+
+
 def with_all_loops(g: Graph) -> Graph:
     return Graph(g.n, g.edges | {(v, v) for v in range(1, g.n + 1)})
 
@@ -374,7 +380,7 @@ def symmetric_block(lap_lift: np.ndarray) -> np.ndarray:
     n = lap_lift.shape[0] // 2
     s = np.empty((n + 1, n + 1))
     s[:n, :n] = lap_lift[:n, :n] + lap_lift[:n, n + 1 :]
-    s[:n, n] = s[n, :n] = math.sqrt(2.0) * lap_lift[:n, n]
+    s[:n, n] = s[n, :n] = math.sqrt(2.0) * lap_lift[:n, n].astype(np.float64)
     s[n, n] = lap_lift[n, n]
     return s
 

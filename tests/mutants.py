@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPECTRAL = "src/loopspec/spectral.py"
 GRAPHS = "src/loopspec/graphs.py"
 CLI = "src/loopspec/cli.py"
+LAPLACIAN = "src/loopspec/laplacian.py"
 
 # (name, file, exact old text, new text)
 MUTANTS = [
@@ -86,6 +87,36 @@ MUTANTS = [
         SPECTRAL,
         "if not 0.0 < match_tol < math.inf:",
         "if not 0.0 < match_tol:",
+    ),
+    (
+        "gram-without-its-diagonal",
+        SPECTRAL,
+        "    gram.flat[:: g.n + 1] -= 1.0\n",
+        "",
+    ),
+    (
+        "residual-formed-out-of-place",
+        SPECTRAL,
+        "    res -= vectors * spec.eigenvalues\n",
+        "    res = res - vectors * spec.eigenvalues\n",
+    ),
+    (
+        "verify-all-keeps-its-gram-matrix",
+        SPECTRAL,
+        "    del gram  # N^2 floats that nothing reads past eta\n",
+        "",
+    ),
+    (
+        "laplacian-dtype-admits-its-maximum",
+        LAPLACIAN,
+        "if top > n)",
+        "if top >= n)",
+    ),
+    (
+        "laplacian-always-int8",
+        LAPLACIAN,
+        "dtype=_entry_dtype(n))",
+        "dtype=np.int8)",
     ),
     (
         "plain-kernel-reads-19-digit-tokens",

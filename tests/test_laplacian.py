@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given
 
 from loopspec import (
@@ -10,7 +11,19 @@ from loopspec import (
     lift,
     random_graph,
 )
-from builders import degree_adjacency, graphs, incidence_matrix, path_graph
+from loopspec.laplacian import _entry_dtype
+from builders import degree_adjacency, graphs, incidence_matrix, looped_hub, path_graph
+
+
+def _narrowest(n):
+    """The dtype rule written out: the narrowest signed integer type whose
+    maximum exceeds n, so that it holds every entry, in [-1, n], and every
+    difference of two entries, within +-(n + 1)."""
+    if n <= 126:
+        return np.int8
+    if n <= 32766:
+        return np.int16
+    return np.int32 if n <= 2**31 - 2 else np.int64
 
 
 def test_worked_example_laplacian():
@@ -64,7 +77,7 @@ def test_gram_identity(g):
 def _assert_gram(g):
     lap = laplacian_of(g)
     e = incidence_matrix(g, dtype=np.float64)
-    assert lap.dtype == np.int32
+    assert lap.dtype == _narrowest(g.n)
     assert np.array_equal(e.T @ e, lap)
 
 
@@ -86,8 +99,29 @@ def test_gram_identity_beyond_small_orders():
 
 def test_single_vertex_without_edges():
     lap = laplacian_of(Graph(1))
-    assert lap.dtype == np.int32
+    assert lap.dtype == np.int8
     assert lap.tolist() == [[0]]
+
+
+@pytest.mark.parametrize("n", [126, 127, 128])
+def test_the_largest_entry_fits_at_the_int8_boundary(n):
+    # int8 holds n = 127 itself but not the mirror certificate's +-(n + 1),
+    # so n = 127 takes int16.
+    g = looped_hub(n)
+    lap = laplacian_of(g)
+    assert lap.dtype == (np.int8 if n < 127 else np.int16)
+    assert lap[0, 0] == n
+    e = incidence_matrix(g)
+    assert np.array_equal(e.T @ e, lap)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 126, 127, 32766, 32767, 2**31 - 2, 2**31 - 1, 2**63 - 2], ids=str
+)
+def test_the_dtype_rule_at_every_switch(n):
+    # The int16 and wider switches would need a Laplacian of 2 GiB or more,
+    # so only the rule itself is checked there.
+    assert _entry_dtype(n) == _narrowest(n)
 
 
 @given(graphs())
