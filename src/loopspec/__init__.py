@@ -38,7 +38,6 @@ from .spectral import (
     Spectrum,
     SubsetMatch,
     VerificationReport,
-    bound_rows,
     degree_upper_bound,
     eigen_sym,
     fiedler_lower_bound,
@@ -79,7 +78,6 @@ __all__ = [
     "Spectrum",
     "SubsetMatch",
     "VerificationReport",
-    "bound_rows",
     "degree_upper_bound",
     "eigen_sym",
     "fiedler_lower_bound",

@@ -35,7 +35,9 @@ from .oracle import (
     enumerate_graphs,
     random_graph,
 )
-from .spectral import JacobiConvergenceError, MATCH_TOL, _check_match_tol, _solve_base, verify_all
+from .spectral import (
+    JacobiConvergenceError, MATCH_TOL, _check_match_tol, _claims, _solve_base, verify_all,
+)
 
 __all__ = ["MAX_DENSE_ORDER", "SweepResult", "main", "run_sweep"]
 
@@ -123,7 +125,8 @@ def _check_dense_order(source: str, order: int) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load(args.path)
     _check_dense_order(args.path, g.n)
-    lap, spectrum, components, pseudo, bounds = _solve_base(g)
+    lap, spectrum, components, pseudo = _solve_base(g)
+    bounds = _claims(g, spectrum.eigenvalues, components == 1, pseudo)
     loopless = g.loop_count == 0
     algebraic = float(spectrum.eigenvalues[1]) if loopless and g.n >= 2 else None
 

@@ -13,23 +13,11 @@ its mirror split (see :mod:`loopspec.lifting`) gives spec(LL) = spec(L(G)) U
 spec(S), S of order N + 1. ``verify_all`` checks that split exactly in
 integers, and the certificate carries L(G)'s residual to the lift. It solves
 L(G) and takes lambda_max(S), which scales the lifted tolerances, from
-LAPACK's ``eigvalsh`` on S. eq6's margin is the lifted tolerance minus the
-certified gap (or the interval slack).
+LAPACK's ``eigvalsh`` on S.
 
-Check identifiers used in reports (fixed wire format):
-
-* ``eq2``        -- algebraic connectivity of a connected loopless graph is
-                    at least 2(1 - cos(pi/N))
-* ``eq3``        -- for a loopless graph, max eigenvalue <= 2 * max degree
-* ``eq8``        -- with loops present, max eigenvalue <= 2 * max degree of
-                    the loop-stripped graph + 1
-* ``lemma1``     -- pseudo-connected graphs have positive definite Laplacians
-* ``eq6``        -- the base spectrum embeds in the lifted spectrum and stays
-                    inside [0, 2 d(stripped) + 1]
-* ``eq7``        -- for pseudo-connected graphs the lifted eigenvalues nearest
-                    the base eigenvalues are strictly positive
-* ``lift-eigvec`` -- mirroring a base eigenvector as [v; 0; -v] gives a lifted
-                    eigenvector with the same eigenvalue
+Check identifiers used in reports (fixed wire format): ``eq2``, ``eq3``,
+``eq8``, ``lemma1``, ``eq6``, ``eq7`` and ``lift-eigvec``. :func:`_claims`
+defines each one's statement, applicability, margin and pass rule.
 """
 
 from __future__ import annotations
@@ -56,7 +44,6 @@ __all__ = [
     "eigen_sym",
     "fiedler_lower_bound",
     "degree_upper_bound",
-    "bound_rows",
     "spectrum_subset",
     "verify_all",
 ]
@@ -148,28 +135,62 @@ def degree_upper_bound(g: Graph) -> float:
     return 2.0 * _max_nonloop_degree(g) + (1.0 if g.loop_count else 0.0)
 
 
-def bound_rows(g: Graph, eigenvalues: np.ndarray, connected: bool) -> list[dict]:
-    """The closed-form eigenvalue bounds that apply to ``g``, one row each.
+def _claims(
+    g: Graph, eigenvalues: np.ndarray, connected: bool, pseudo: bool, lifted: tuple | None = None
+) -> list[dict]:
+    """Every claim that applies to ``g``, one row each in report order.
 
-    ``eq2`` (lower bound on the algebraic connectivity) applies to connected
-    loopless graphs with >= 2 vertices; the degree upper bound on the largest
-    eigenvalue applies always, as ``eq3`` without loops and ``eq8`` with.
-    ``eigenvalues`` are ascending; ``connected`` says whether ``g`` has one
-    component. A row holds id, kind ("lower"/"upper"), bound, value, and
-    margin (positive = slack).
+    * ``eq2`` -- connected loopless graphs with >= 2 vertices: the algebraic
+      connectivity is at least :func:`fiedler_lower_bound`.
+    * ``eq3`` -- loopless graphs: lambda_max is at most
+      :func:`degree_upper_bound`. ``eq8`` replaces it when loops are present.
+    * ``lemma1`` -- pseudo-connected graphs: lambda_min exceeds the base
+      positivity threshold, so L(G) is positive definite.
+    * ``eq6`` -- every graph (a loopless lift just has an isolated middle
+      vertex): the certified gap is within the lifted tolerance, so the base
+      spectrum embeds in the lifted one, and lambda_max is at most eq8's
+      bound (eq3's plus 1 without loops), within the same tolerance.
+    * ``eq7`` -- pseudo-connected graphs: lambda_min minus the gap exceeds
+      the lifted positivity threshold, so the lifted eigenvalues nearest the
+      base ones are strictly positive.
+    * ``lift-eigvec`` -- every graph: mirroring each base eigenvector v as
+      [v; 0; -v] leaves a lifted residual within the lifted tolerance.
+
+    ``eigenvalues`` are L(G)'s, ascending. A row holds id, margin (positive
+    = slack) and ``pass``; the closed-form rows (eq2, eq3/eq8) also kind
+    ("lower"/"upper"), bound and value, and pass within the base match
+    tolerance. Without ``lifted``, ``verify_all``'s (tol_base, pos_base,
+    tol_lift, pos_lift, gap, worst_res), only they are returned, with no
+    ``pass``.
     """
     rows: list[dict] = []
     loopless = g.loop_count == 0
+    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
     if connected and loopless and g.n >= 2:
         bound, value = fiedler_lower_bound(g.n), float(eigenvalues[1])
         rows.append(
             {"id": "eq2", "kind": "lower", "bound": bound, "value": value, "margin": value - bound}
         )
-    bound, value = degree_upper_bound(g), float(eigenvalues[-1])
-    upper = "eq3" if loopless else "eq8"
+    bound, upper = degree_upper_bound(g), "eq3" if loopless else "eq8"
     rows.append(
-        {"id": upper, "kind": "upper", "bound": bound, "value": value, "margin": bound - value}
+        {"id": upper, "kind": "upper", "bound": bound, "value": lam_max, "margin": bound - lam_max}
     )
+    if lifted is None:
+        return rows
+    tol_base, pos_base, tol_lift, pos_lift, gap, worst_res = lifted
+    for row in rows:
+        row["pass"] = row["margin"] >= -tol_base
+    if pseudo:
+        margin = lam_min - pos_base
+        rows.append({"id": "lemma1", "margin": margin, "pass": margin > 0.0})
+    interval = bound + 1.0 if loopless else bound
+    margin = min(tol_lift - gap, interval + tol_lift - lam_max)
+    rows.append({"id": "eq6", "margin": margin, "pass": margin >= 0.0})
+    if pseudo:
+        margin = lam_min - gap - pos_lift
+        rows.append({"id": "eq7", "margin": margin, "pass": margin > 0.0})
+    margin = tol_lift - worst_res
+    rows.append({"id": "lift-eigvec", "margin": margin, "pass": margin >= 0.0})
     return rows
 
 
@@ -315,36 +336,26 @@ def _lifted_top(lap_lift: np.ndarray, lap: np.ndarray) -> float:
         raise JacobiConvergenceError(f"eigvalsh did not converge ({exc})") from exc
 
 
-def _solve_base(g: Graph) -> tuple[np.ndarray, Spectrum, int, bool, list[dict]]:
+def _solve_base(g: Graph) -> tuple[np.ndarray, Spectrum, int, bool]:
     """The stage ``analyze`` and ``verify_all`` share, of order N only:
-    L(G), its spectrum, the number of components, whether ``g`` is
-    pseudo-connected, and the closed-form bound rows."""
+    L(G), its spectrum, the number of components and whether ``g`` is
+    pseudo-connected."""
     lap = laplacian_of(g)
     spec = eigen_sym(lap)
     parts = connected_components(g)
-    rows = bound_rows(g, spec.eigenvalues, parts.count == 1)
-    return lap, spec, parts.count, _pseudo_connected(g, parts), rows
+    return lap, spec, parts.count, _pseudo_connected(g, parts)
 
 
 def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
-    """Run every spectral check applicable to ``g`` and report margins.
-
-    Checks and applicability:
-
-    * ``eq2``   connected loopless graphs with >= 2 vertices
-    * ``eq3``   loopless graphs; ``eq8`` replaces it when loops are present
-    * ``lemma1`` pseudo-connected graphs only
-    * ``eq6``   every graph (a loopless lift just has an isolated middle vertex)
-    * ``eq7``   pseudo-connected graphs only
-    * ``lift-eigvec`` every graph
+    """Run every spectral check applicable to ``g`` (see :func:`_claims`)
+    and report margins.
 
     L(G) is solved, and the eigenvalues of the lift's block S (order N + 1)
     are computed; LL itself never is. The exact mirror certificate carries
     L(G)'s residual R = L(G) V - V Lambda to the lift, and by Kahan's theorem
     n distinct lifted eigenvalues lie within ``gap = ||R||_F / sqrt(1 - eta)``
     of Lambda, eta = ||V^T V - I||_F; without the certificate, gap and the
-    lifted residuals are infinite. eq6 needs gap <= the lifted tolerance; eq7
-    needs lambda_min - gap above the lifted positivity threshold.
+    lifted residuals are infinite.
 
     Absolute tolerances are ``match_tol`` scaled by max(1, spectral radius)
     of the matrix each check concerns; for the lift, lambda_max of its block
@@ -353,7 +364,7 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     unless 0 < ``match_tol`` < inf.
     """
     _check_match_tol(match_tol)
-    lap, spec, components, pseudo, rows = _solve_base(g)
+    lap, spec, components, pseudo = _solve_base(g)
     lap_lift = laplacian_of(lift(g).lifted)
     vectors = spec.eigenvectors
     res = lap @ vectors
@@ -372,31 +383,15 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     tol_lift = match_tol * max(1.0, rho_lift)
     pos_base = POSITIVITY_TOL * max(1.0, spec.spectral_radius)
     pos_lift = POSITIVITY_TOL * max(1.0, rho_lift)
-
-    lam_min, lam_max = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
-
-    checks = [CheckResult(r["id"], r["margin"] >= -tol_base, r["margin"]) for r in rows]
-
-    if pseudo:
-        margin = lam_min - pos_base
-        checks.append(CheckResult("lemma1", margin > 0.0, margin))
-
-    interval_bound = 2.0 * _max_nonloop_degree(g) + 1.0
-    margin6 = min(tol_lift - gap, interval_bound + tol_lift - lam_max)
-    checks.append(CheckResult("eq6", margin6 >= 0.0, margin6))
-
-    if pseudo:
-        margin = lam_min - gap - pos_lift
-        checks.append(CheckResult("eq7", margin > 0.0, margin))
-
-    checks.append(CheckResult("lift-eigvec", worst_res <= tol_lift, tol_lift - worst_res))
+    lifted = (tol_base, pos_base, tol_lift, pos_lift, gap, worst_res)
+    rows = _claims(g, spec.eigenvalues, components == 1, pseudo, lifted)
 
     return VerificationReport(
         n=g.n,
         loop_count=g.loop_count,
         components=components,
         pseudo_connected=pseudo,
-        checks=tuple(checks),
+        checks=tuple(CheckResult(r["id"], r["pass"], r["margin"]) for r in rows),
         tolerances={
             "solver_tol": SOLVER_TOL,
             "match_tol": match_tol,

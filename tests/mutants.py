@@ -3,7 +3,7 @@ temporary copy of the repository, and ``pytest -x -q`` runs there. The
 mutant is killed when the suite fails, and survives when it passes.
 
 Run it from any directory as ``python tests/mutants.py``. Each row costs
-up to one full suite run (about 20 s on 2 vCPUs), so the runner stays out
+up to one full suite run (about 30 s on 2 vCPUs), so the runner stays out
 of the suite: pytest does not collect this file. It first runs the suite on
 an unmutated copy, since a failing suite would kill every mutant. It exits 1
 when a mutant survives, the unmutated copy fails, or a row's old text does
@@ -79,8 +79,26 @@ MUTANTS = [
     (
         "eq6-interval-plus-2",
         SPECTRAL,
-        "interval_bound = 2.0 * _max_nonloop_degree(g) + 1.0",
-        "interval_bound = 2.0 * _max_nonloop_degree(g) + 2.0",
+        "interval = bound + 1.0 if loopless else bound",
+        "interval = bound + 2.0 if loopless else bound + 1.0",
+    ),
+    (
+        "lemma1-passes-a-zero-margin",
+        SPECTRAL,
+        '{"id": "lemma1", "margin": margin, "pass": margin > 0.0}',
+        '{"id": "lemma1", "margin": margin, "pass": margin >= 0.0}',
+    ),
+    (
+        "eq7-passes-a-zero-margin",
+        SPECTRAL,
+        '{"id": "eq7", "margin": margin, "pass": margin > 0.0}',
+        '{"id": "eq7", "margin": margin, "pass": margin >= 0.0}',
+    ),
+    (
+        "closed-form-rows-owe-the-match-tolerance",
+        SPECTRAL,
+        'row["pass"] = row["margin"] >= -tol_base',
+        'row["pass"] = row["margin"] >= tol_base',
     ),
     (
         "match-tol-admits-infinity",

@@ -19,13 +19,13 @@ from loopspec import (
     MATCH_TOL,
     SOLVER_TOL,
     Spectrum,
-    bound_rows,
     connected_components,
     degree_upper_bound,
     eigen_sym,
     enumerate_graphs,
     fiedler_lower_bound,
     graph_from_edges,
+    is_pseudo_connected,
     laplacian_of,
     lift,
     random_graph,
@@ -43,6 +43,7 @@ from builders import (
     looped_hub,
     misrouted_spoke,
     path_graph,
+    reference_connected_components,
     reference_jacobi,
     reference_lifted_residual,
     reference_lifted_top,
@@ -284,12 +285,14 @@ def test_even_cycle_attains_degree_bound():
 
 @given(graphs())
 def test_bound_rows_are_the_bound_checks_of_the_report(g):
-    rows = bound_rows(
-        g, eigen_sym(laplacian_of(g)).eigenvalues, connected_components(g).count == 1
-    )
+    # the rows analyze prints: the claims without the lifted inputs
+    connected = connected_components(g).count == 1
+    eigenvalues = eigen_sym(laplacian_of(g)).eigenvalues
+    rows = spectral._claims(g, eigenvalues, connected, is_pseudo_connected(g))
     checks = [c for c in verify_all(g).checks if c.id in ("eq2", "eq3", "eq8")]
     assert [(r["id"], r["margin"]) for r in rows] == [(c.id, c.margin) for c in checks]
     for r in rows:
+        assert list(r) == ["id", "kind", "bound", "value", "margin"]
         gap = r["value"] - r["bound"] if r["kind"] == "lower" else r["bound"] - r["value"]
         assert r["margin"] == gap
 
@@ -361,6 +364,37 @@ def test_single_vertex_report():
     report = verify_all(Graph(1))
     assert [c.id for c in report.checks] == ["eq3", "eq6", "lift-eigvec"]
     assert report.passed
+
+
+def _oracle_ids(g):
+    """The report's check ids in order, from the frozen component BFS and the
+    loop set alone."""
+    parts = reference_connected_components(g)
+    loops = {i for i, j in g.edges if i == j}
+    pseudo = {parts.labels[v - 1] for v in loops} == set(range(1, parts.count + 1))
+    ids = ["eq2"] if parts.count == 1 and not loops and g.n >= 2 else []
+    ids.append("eq8" if loops else "eq3")
+    ids += ["lemma1", "eq6", "eq7"] if pseudo else ["eq6"]
+    return ids + ["lift-eigvec"]
+
+
+def test_report_ids_follow_the_oracles_on_the_campaigns():
+    # criteria 2 and 3: which claims apply, and their order, on 2098 graphs
+    for g in _campaign_graphs():
+        assert [c.id for c in verify_all(g).checks] == _oracle_ids(g), g
+
+
+def test_lemma1_and_eq7_fail_at_a_zero_margin(monkeypatch):
+    # A single looped vertex has lambda_min = lambda_max = 1 and an exact
+    # eigenpair, so a positivity threshold of 1 puts both margins at 0, and
+    # "strictly positive" must refuse them.
+    monkeypatch.setattr(spectral, "POSITIVITY_TOL", 1.0)
+    g = graph_from_edges(1, [(1, 1)])
+    checks = {c.id: c for c in verify_all(g).checks}
+    assert checks["lemma1"].margin == 0.0 and not checks["lemma1"].passed
+    monkeypatch.setattr(spectral, "_lifted_top", lambda lap_lift, lap: 1.0)
+    checks = {c.id: c for c in verify_all(g).checks}
+    assert checks["eq7"].margin == 0.0 and not checks["eq7"].passed
 
 
 def test_report_json_shape():
