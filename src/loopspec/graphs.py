@@ -4,6 +4,12 @@ Vertices are numbered 1..n. An edge is an unordered pair stored canonically
 as (i, j) with i <= j; the pair (i, i) is a self-loop. Multiple edges are not
 representable. Graph values are immutable after construction and safe to
 share between threads.
+
+Pairs that come from outside the program go through :func:`graph_from_edges`,
+which canonicalises them and rejects duplicates. The generators in
+``oracle`` and :func:`~loopspec.lifting.lift` build their pairs canonical and
+distinct, and construct ``Graph`` directly. ``Graph`` is slotted, so it takes
+no ad-hoc attributes, and graphs may share their immutable pair tuples.
 """
 
 from __future__ import annotations
@@ -42,13 +48,14 @@ class EdgeListError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Undirected graph on vertices 1..n, self-loops allowed, multi-edges not.
 
-    ``edges`` holds canonical pairs only: (i, j) with 1 <= i <= j <= n.
+    ``edges`` holds canonical pairs only: (i, j) with 1 <= i <= j <= n. Any
+    iterable of them is stored as a frozenset, and every pair is checked.
     Construct through :func:`graph_from_edges` unless the pairs are already
-    canonical.
+    canonical and distinct.
     """
 
     n: int
@@ -94,7 +101,13 @@ def _add_pair(edges: set[Edge], n: int, i: int, j: int) -> None:
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from endpoint pairs in any orientation, rejecting duplicates."""
+    """Build a graph from endpoint pairs in any orientation, rejecting duplicates.
+
+    This is the route for pairs that come from outside the program. The
+    generators build ``Graph`` directly from pairs that are canonical and
+    distinct by construction. ``Graph`` is slotted, so it takes no ad-hoc
+    attributes, and it may share its immutable pair tuples with other graphs.
+    """
     edges: set[Edge] = set()
     for i, j in pairs:
         _add_pair(edges, n, i, j)

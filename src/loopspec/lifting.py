@@ -44,10 +44,11 @@ def lift(g: Graph) -> LiftedGraph:
     """
     middle = g.n + 1
     edges: list[Edge] = []
-    for i, j in g.edges:
+    for e in g.edges:
+        i, j = e
         if i == j:
             edges += [(i, middle), (middle, i + middle)]
         else:
-            edges += [(i, j), (i + middle, j + middle)]
+            edges += [e, (i + middle, j + middle)]  # copy 1 shares g's tuples
     return LiftedGraph(Graph(2 * g.n + 1, frozenset(edges)), middle)
 

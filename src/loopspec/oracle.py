@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph, connected_components, graph_from_edges, is_pseudo_connected
+from .graphs import Graph, connected_components, is_pseudo_connected
 
 __all__ = [
     "RETRY_CAP",
@@ -120,7 +120,7 @@ def random_graph(cfg: GeneratorConfig) -> Graph:
             i = bisect.bisect_right(starts, k)
             edges.append((i, k - starts[i - 1] + i + 1))
         edges.extend((v, v) for v, u in enumerate(loop_draws, 1) if u < cfg.p_loop)
-        g = graph_from_edges(cfg.n, edges)
+        g = Graph(cfg.n, set(edges))  # canonical (i < j, one loop per vertex) and distinct
         if _meets(g, cfg.require):
             return g
     raise GenerationError(
@@ -144,9 +144,8 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
             f"(2^(n(n+1)/2) graphs), got n={n}"
         )
     candidates = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    for mask in range(1 << len(candidates)):
-        edges = [e for k, e in enumerate(candidates) if mask >> k & 1]
-        yield graph_from_edges(n, edges)
+    for mask in range(1 << len(candidates)):  # graphs share the candidates' tuples
+        yield Graph(n, {e for k, e in enumerate(candidates) if mask >> k & 1})
 
 
 # --- exact eigenvalue counting (ascending integer coefficient lists) ---

@@ -379,9 +379,10 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
         gap = float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
 
     rho_lift = _lifted_top(lap_lift, lap)
-    tol_base = match_tol * max(1.0, spec.spectral_radius)
+    rho_base = spec.spectral_radius
+    tol_base = match_tol * max(1.0, rho_base)
     tol_lift = match_tol * max(1.0, rho_lift)
-    pos_base = POSITIVITY_TOL * max(1.0, spec.spectral_radius)
+    pos_base = POSITIVITY_TOL * max(1.0, rho_base)
     pos_lift = POSITIVITY_TOL * max(1.0, rho_lift)
     lifted = (tol_base, pos_base, tol_lift, pos_lift, gap, worst_res)
     rows = _claims(g, spec.eigenvalues, components == 1, pseudo, lifted)

@@ -1,7 +1,9 @@
 """Shared graph builders, matrix oracles and hypothesis strategies for the
 test suite."""
 
+import bisect
 import itertools
+import json
 import math
 from collections import deque
 
@@ -209,6 +211,45 @@ def reference_format_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {len(g.edges)}"]
     lines += [f"{i} {j}" for i, j in sorted(g.edges, key=lambda e: e[0] * (g.n + 1) + e[1])]
     return "\n".join(lines) + "\n"
+
+
+def reference_random_graph(cfg: oracle.GeneratorConfig) -> Graph:
+    """Frozen copy of ``random_graph`` before it built ``Graph`` directly:
+    each draw's pairs go through ``graph_from_edges``, which canonicalises
+    every pair and rejects duplicates."""
+    rng = np.random.default_rng(cfg.seed)
+    starts = list(itertools.accumulate(range(cfg.n - 1, 0, -1), initial=0))
+    for _ in range(oracle.RETRY_CAP):
+        hits = np.flatnonzero(rng.random(starts[-1]) < cfg.p_edge).tolist()
+        loop_draws = rng.random(cfg.n).tolist()
+        edges: list[tuple[int, int]] = []
+        for k in hits:
+            i = bisect.bisect_right(starts, k)
+            edges.append((i, k - starts[i - 1] + i + 1))
+        edges.extend((v, v) for v, u in enumerate(loop_draws, 1) if u < cfg.p_loop)
+        g = graph_from_edges(cfg.n, edges)
+        if oracle._meets(g, cfg.require):
+            return g
+    raise oracle.GenerationError(
+        f"no draw met {cfg.require!r} within {oracle.RETRY_CAP} attempts: "
+        + json.dumps(cfg.to_json_dict())
+    )
+
+
+def reference_enumerate_graphs(n: int):
+    """Frozen copy of ``enumerate_graphs`` before it built ``Graph``
+    directly: each mask's candidate pairs go through ``graph_from_edges``."""
+    if n < 1:
+        raise ValueError(f"need at least 1 vertex, got {n}")
+    if n > oracle.MAX_ENUM_VERTICES:
+        raise ValueError(
+            f"enumeration is capped at {oracle.MAX_ENUM_VERTICES} vertices "
+            f"(2^(n(n+1)/2) graphs), got n={n}"
+        )
+    candidates = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    for mask in range(1 << len(candidates)):
+        edges = [e for k, e in enumerate(candidates) if mask >> k & 1]
+        yield graph_from_edges(n, edges)
 
 
 def reference_jacobi(m: np.ndarray, tol: float = 1e-12):

@@ -25,6 +25,7 @@ SPECTRAL = "src/loopspec/spectral.py"
 GRAPHS = "src/loopspec/graphs.py"
 CLI = "src/loopspec/cli.py"
 LAPLACIAN = "src/loopspec/laplacian.py"
+ORACLE = "src/loopspec/oracle.py"
 
 # (name, file, exact old text, new text)
 MUTANTS = [
@@ -183,6 +184,12 @@ MUTANTS = [
         GRAPHS,
         "    if len(edges) != declared:\n        return None\n",
         "",
+    ),
+    (
+        "random-graph-appends-reversed-pairs",
+        ORACLE,
+        "edges.append((i, k - starts[i - 1] + i + 1))",
+        "edges.append((k - starts[i - 1] + i + 1, i))",
     ),
     (
         "run-sweep-admits-any-mode",

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -81,6 +85,42 @@ def test_out_of_range_endpoints_rejected():
 def test_non_canonical_direct_construction_rejected():
     with pytest.raises(ValueError):
         Graph(2, frozenset({(2, 1)}))
+
+
+def _graphs_of_every_route():
+    g = graph_from_edges(3, [(1, 1), (2, 1), (3, 2)])
+    return [
+        Graph(1),
+        g,
+        lift(g).lifted,
+        parse_edge_list("2 2\n1 1\n1 2\n"),
+        list(enumerate_graphs(2))[-1],
+        random_graph(GeneratorConfig(6, 0.5, 0.5, 3, require="pseudo_connected")),
+    ]
+
+
+def test_graph_is_slotted():
+    assert Graph.__slots__ == ("n", "edges")
+    for g in _graphs_of_every_route():
+        assert not hasattr(g, "__dict__"), g
+
+
+def test_graph_takes_no_assignment():
+    g = graph_from_edges(2, [(1, 1), (1, 2)])
+    with pytest.raises(FrozenInstanceError):
+        g.n = 3
+    with pytest.raises(FrozenInstanceError):
+        g.edges = frozenset()
+    # the error class differs between Python versions (TypeError on 3.10-3.13)
+    with pytest.raises(Exception):
+        g.label = "worked example"
+    assert g == graph_from_edges(2, [(1, 1), (1, 2)])
+
+
+def test_graph_survives_pickle_and_deepcopy():
+    for g in _graphs_of_every_route():
+        for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert twin == g and hash(twin) == hash(g), g
 
 
 def test_self_loop_is_a_normal_edge():

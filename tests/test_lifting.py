@@ -32,6 +32,15 @@ def test_worked_example_lifts_to_five_path():
     assert sorted(deg) == [1, 1, 2, 2, 2]
 
 
+def test_lift_copy_1_shares_the_base_pair_tuples():
+    g = graph_from_edges(4, [(1, 1), (1, 2), (2, 3), (3, 3), (3, 4)])
+    lg = lift(g)
+    base = {e: e for e in g.edges}
+    copy_1 = [e for e in lg.lifted.edges if e[1] < lg.middle]
+    assert sorted(copy_1) == [(1, 2), (2, 3), (3, 4)]
+    assert all(e is base[e] for e in copy_1)
+
+
 def test_loopless_graph_leaves_middle_isolated():
     g = path_graph(3)
     lg = lift(g)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from builders import (
     cycle_graph,
     reference_charpoly,
     reference_charpoly_eigenvalues,
+    reference_enumerate_graphs,
+    reference_random_graph,
     with_all_loops,
 )
 
@@ -120,6 +123,33 @@ def test_seeded_graphs_match_the_list_based_generator():
     assert max(attempts) > 1  # the rejection retries draw the same stream
 
 
+def test_random_graph_equals_frozen_reference_on_criterion_3_configs(monkeypatch):
+    drawn = []
+
+    def draw(cfg):
+        drawn.append((cfg, random_graph(cfg)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(cli, "random_graph", draw)
+    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol: None)
+    run_sweep(
+        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
+    )
+    assert len(drawn) == 1000
+    for cfg, g in drawn:
+        assert g == reference_random_graph(cfg), cfg
+
+
+def test_random_graph_equals_frozen_reference_on_pseudo_connected_large_orders():
+    # the sparse draws are rejected and redrawn up to a few hundred times
+    seeds = iter(np.random.default_rng(SWEEP_SEED + 3).integers(0, 2**63, size=54, dtype=np.uint64).tolist())
+    for n in range(22, 31):
+        for p_edge, p_loop in ((0.4, 0.3), (0.08, 0.05)):
+            for seed in itertools.islice(seeds, 3):
+                cfg = GeneratorConfig(n, p_edge, p_loop, seed, require="pseudo_connected")
+                assert random_graph(cfg) == reference_random_graph(cfg), cfg
+
+
 def test_unsatisfiable_constraint_raises_with_seed_in_message():
     cfg = GeneratorConfig(
         n=2, p_edge=0.0, p_loop=0.0, seed=31337, require="pseudo_connected"
@@ -160,6 +190,17 @@ def test_enumeration_order_is_fixed():
     assert second.edges == {(1, 1)}
     last = list(enumerate_graphs(2))[-1]
     assert last.edges == {(1, 1), (1, 2), (2, 2)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumeration_equals_frozen_reference(n):
+    assert list(enumerate_graphs(n)) == list(reference_enumerate_graphs(n))
+
+
+def test_enumerated_graphs_share_their_pair_tuples():
+    holders = [g for g in enumerate_graphs(3) if (1, 2) in g.edges]
+    first, second = (next(e for e in g.edges if e == (1, 2)) for g in holders[:2])
+    assert len(holders) == 32 and first is second
 
 
 def test_enumeration_caps():
