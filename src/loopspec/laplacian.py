@@ -44,7 +44,9 @@ _SIGNED = tuple((np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.i
 def _entry_dtype(n: int) -> type:
     """The narrowest signed integer type whose maximum exceeds ``n``. Not
     ``np.result_type``, whose answer for a Python int moved with NEP 50."""
-    return next(t for top, t in _SIGNED if top > n)
+    for top, t in _SIGNED:
+        if top > n:
+            return t
 
 
 def format_matrix(m: np.ndarray) -> str:

@@ -2,15 +2,16 @@
 generation, exhaustive enumeration of small graphs, and an exact
 characteristic-polynomial eigenvalue oracle.
 
-The oracle path is pure integer arithmetic: Faddeev-LeVerrier for the
+The oracle decides in integer arithmetic alone: Faddeev-LeVerrier for the
 characteristic polynomial, then one counting rule. The polynomial of a
 symmetric matrix has only real roots, so Descartes' rule of signs applied to
 p(x + t) counts the eigenvalues above x exactly, with multiplicity, and
 bisection on that count isolates each eigenvalue. Once an interval is known
 to hold a single simple root, a safeguarded Newton iteration on the dyadic
 grid refines it for O(n) work per point in place of O(n^2) (isolate, then
-refine: Collins & Akritas, 1976). The points visited differ from those of
-bisection, but the value returned, fixed by the grid cell that holds the
+refine: Collins & Akritas, 1976). A float Newton seed on p picks only the
+first exact point of each refinement. The points visited differ from those
+of bisection, but the value returned, fixed by the grid cell that holds the
 root, does not. Its only approximation is the final grid width, so
 agreement with the floating-point solver is a real cross-check and not a
 tautology.
@@ -155,37 +156,48 @@ def _charpoly(entries: list[list[int]]) -> list[int]:
     """Coefficients of det(xI - M), ascending, by Faddeev-LeVerrier over the
     integers: for an integer matrix every division by k is exact. The
     products run on ``dtype=object`` arrays of Python ints, which numpy forms
-    with Python's own ``*`` and ``+``: exact at any size, and never in BLAS."""
+    with Python's own ``*`` and ``+``: exact at any size, and never in BLAS.
+    Each step adds the last coefficient to the work matrix's diagonal in
+    place; that matrix starts as a copy of M, so M is never written."""
     n = len(entries)
     coeffs = [0] * n + [1]
-    work = a = np.array(entries, dtype=object)
-    eye = np.identity(n, dtype=object)
+    a = np.array(entries, dtype=object)
+    work = a.copy()
     for k in range(1, n + 1):
         if k > 1:
-            work = a.dot(work + coeffs[n - k + 1] * eye)
+            work.flat[:: n + 1] += coeffs[n - k + 1]
+            work = a.dot(work)
         coeffs[n - k], rem = divmod(-work.trace(), k)
         if rem:
             raise OracleError("characteristic polynomial came out non-integral")
     return coeffs
 
 
-def _count(poly: list[int], num: int, scale: int) -> tuple[int, int]:
-    """(#roots < x, #roots <= x) of a real-rooted ``poly`` at x = num / 2^scale,
-    with multiplicity.
+def _count(scaled: list[int], num: int) -> tuple[int, int]:
+    """(#roots < x, #roots <= x) of a real-rooted p at x = num / 2^s, with
+    multiplicity, where ``scaled[i]`` is p's x^i coefficient times
+    2^(s (n - i)): p itself at s = 0, or the list scaled once by s = _SCALE.
+    These counts and the exact Newton passes decide every root; a float seed
+    only picks the first exact pass of a refinement.
 
-    Scaling the roots by 2^scale makes x an integer; the Taylor shift
+    Scaling the roots by 2^s makes x an integer; the Taylor shift
     p(x + t) then has exactly as many roots t > 0 as its coefficients have
     sign changes (Descartes' rule is exact when every root is real), and its
     zero low-order coefficients count the roots at x.
     """
-    n = len(poly) - 1
-    shifted = [c << (scale * (n - i)) for i, c in enumerate(poly)]
+    n = len(scaled) - 1
+    shifted = scaled[:]
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             shifted[j] += num * shifted[j + 1]
-    at = next(i for i, c in enumerate(shifted) if c)
-    nonzero = [c for c in shifted if c]
-    above = sum((a < 0) != (b < 0) for a, b in zip(nonzero, nonzero[1:]))
+    at = 0
+    while not shifted[at]:
+        at += 1
+    above, negative = 0, shifted[at] < 0
+    for c in shifted[at + 1 :]:
+        if c and (c < 0) != negative:
+            above += 1
+            negative = not negative
     return n - above - at, n - above
 
 
@@ -221,10 +233,30 @@ def _horner(scaled: list[int], x: int) -> tuple[int, int]:
     return q, dq
 
 
-def _refine(scaled: list[int], lo: int, hi: int, sign_lo: int) -> tuple[int, bool]:
+def _seed(descending: list[float], lo: int, hi: int) -> int:
+    """The first point for :func:`_refine` on (lo, hi): a few float Newton
+    steps on p, from the top coefficient down in ``descending``, started at
+    the midpoint, rounded to the grid. The midpoint when that point is not
+    finite or not strictly inside the bracket."""
+    mid = (lo + hi) >> 1
+    t = mid / (1 << _SCALE)
+    for _ in range(8):  # float Newton steps
+        p = dp = 0.0
+        for c in descending:
+            dp = dp * t + p
+            p = p * t + c
+        if dp:
+            t -= p / dp
+    x = t * (1 << _SCALE)  # inf and NaN fail the test below
+    return round(x) if lo + 1 <= x <= hi - 1 else mid
+
+
+def _refine(scaled: list[int], lo: int, hi: int, sign_lo: int, x: int) -> tuple[int, bool]:
     """(floor(r), r == floor(r)) for the one root r of q in the open
     interval (lo, hi), where q has the sign ``sign_lo`` on (lo, r), the
-    opposite sign on (r, hi), and hi - lo >= 2.
+    opposite sign on (r, hi), and hi - lo >= 2. The first pass is at the
+    caller's x, lo < x < hi, such as a float seed; it picks only where the
+    exact passes start, since the value returned depends on r alone.
 
     Each pass evaluates q and q' at a point x strictly inside the bracket,
     returns x on an exact zero, and else moves the bracket end with x's sign
@@ -236,7 +268,6 @@ def _refine(scaled: list[int], lo: int, hi: int, sign_lo: int) -> tuple[int, boo
     the bracket, so no root costs more than twice the passes of bisection.
     """
     budget = 2 * (hi - lo - 1).bit_length()
-    x = (lo + hi) >> 1
     while True:
         q, dq = _horner(scaled, x)
         budget -= 1
@@ -275,9 +306,10 @@ def charpoly_eigenvalues(m) -> list[float]:
     exactly one root, that root is the k-th, it is simple and it lies
     strictly above num, and p has the sign of p(num), (-1)^(n-k) for the
     monic p, below it. :func:`_refine` then finds the grid cell that holds
-    it by Newton's method. Bisection would visit other points, but it
-    returns a value fixed by that cell and by whether the root is its low
-    end, so the value returned is the same.
+    it by Newton's method, from the first point that :func:`_seed`'s float
+    Newton picks. Bisection would visit other points, but it returns a value
+    fixed by that cell and by whether the root is its low end, so the value
+    returned is the same.
     """
     entries = _as_integer_matrix(m)
     n = len(entries)
@@ -285,12 +317,13 @@ def charpoly_eigenvalues(m) -> list[float]:
         raise ValueError(f"oracle is capped at order {MAX_ORACLE_ORDER}, got {n}")
     poly = _charpoly(entries)
     lo, hi = -1, 2 * n + 2
-    below_lo, at_most_lo = _count(poly, lo, 0)
-    if below_lo or _count(poly, hi, 0)[1] < n:
+    below_lo, at_most_lo = _count(poly, lo)
+    if below_lo or _count(poly, hi)[1] < n:
         raise OracleError(f"an eigenvalue falls outside the bracket [{lo}, {hi}]")
     # Bisect on [lo, lo + 2^width_log2], which contains [lo, hi].
     width_log2 = (hi - lo).bit_length()
     scaled = [c << (_SCALE * (n - i)) for i, c in enumerate(poly)]
+    descending = [float(c) for c in reversed(poly)]
     counts: dict[int, tuple[int, int]] = {}
     roots: list[float] = []
     for k in range(n):
@@ -302,12 +335,13 @@ def charpoly_eigenvalues(m) -> list[float]:
         below_num, below_top, exact = 0, n, False
         while step > 1:
             if below_top - below_num == 1:  # one simple root, above num
-                num, exact = _refine(scaled, num, num + step, -1 if (n - k) % 2 else 1)
+                top, sign = num + step, -1 if (n - k) % 2 else 1
+                num, exact = _refine(scaled, num, top, sign, _seed(descending, num, top))
                 break
             step >>= 1
             x = num + step
             if x not in counts:
-                counts[x] = _count(poly, x, _SCALE)
+                counts[x] = _count(scaled, x)
             below, at_most = counts[x]
             if below <= k:
                 num, below_num = x, below

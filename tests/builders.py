@@ -316,14 +316,31 @@ def reference_charpoly(entries: list[list[int]]) -> list[int]:
     return coeffs
 
 
+def reference_count(poly: list[int], num: int, scale: int) -> tuple[int, int]:
+    """Frozen copy of the Descartes count that ``oracle._count`` ran before
+    it took its coefficients already scaled: (#roots < x, #roots <= x) of a
+    real-rooted ``poly`` at x = num / 2^scale, with multiplicity, shifting
+    every coefficient on each call and counting sign changes over a filtered
+    list."""
+    n = len(poly) - 1
+    shifted = [c << (scale * (n - i)) for i, c in enumerate(poly)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            shifted[j] += num * shifted[j + 1]
+    at = next(i for i, c in enumerate(shifted) if c)
+    nonzero = [c for c in shifted if c]
+    above = sum((a < 0) != (b < 0) for a, b in zip(nonzero, nonzero[1:]))
+    return n - above - at, n - above
+
+
 def reference_charpoly_eigenvalues(m) -> list[float]:
     """Frozen copy of the count-only bisection that ``charpoly_eigenvalues``
     must reproduce exactly: every eigenvalue bisected from the full bracket
     [-1, 2n+2] by a fresh Descartes count at each dyadic midpoint.
 
-    Takes its polynomial from :func:`reference_charpoly`, and reuses the
-    oracle's input check and count through the module, so a test that
-    patches ``oracle._count`` sees these calls too.
+    Takes its polynomial from :func:`reference_charpoly` and its counts
+    from :func:`reference_count`, both frozen here, and reuses only the
+    oracle's input check.
     """
     entries = oracle._as_integer_matrix(m)
     n = len(entries)
@@ -332,8 +349,8 @@ def reference_charpoly_eigenvalues(m) -> list[float]:
     scale = oracle._SCALE
     poly = reference_charpoly(entries)
     lo, hi = -1, 2 * n + 2
-    below_lo, at_most_lo = oracle._count(poly, lo, 0)
-    if below_lo or oracle._count(poly, hi, 0)[1] < n:
+    below_lo, at_most_lo = reference_count(poly, lo, 0)
+    if below_lo or reference_count(poly, hi, 0)[1] < n:
         raise oracle.OracleError(f"an eigenvalue falls outside the bracket [{lo}, {hi}]")
     width_log2 = (hi - lo).bit_length()
     roots: list[float] = []
@@ -344,7 +361,7 @@ def reference_charpoly_eigenvalues(m) -> list[float]:
         num, step = lo << scale, 1 << (width_log2 + scale)
         while step > 1:
             step >>= 1
-            below, at_most = oracle._count(poly, num + step, scale)
+            below, at_most = reference_count(poly, num + step, scale)
             if below <= k:
                 num += step
                 if k < at_most:

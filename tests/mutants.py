@@ -5,10 +5,12 @@ mutant is killed when the suite fails, and survives when it passes.
 Run it from any directory as ``python tests/mutants.py``. Each row costs
 up to one full suite run (about 30 s on 2 vCPUs), so the runner stays out
 of the suite: pytest does not collect this file. It first runs the suite on
-an unmutated copy, since a failing suite would kill every mutant. It exits 1
-when a mutant survives, the unmutated copy fails, or a row's old text does
-not occur exactly once in its file. It copies the working tree as it
-stands, so leave the tree alone while it runs. Standard library only.
+an unmutated copy, since a failing suite would kill every mutant. A mutant
+whose run takes five times as long as that one (two minutes at least) has
+hung the suite, and counts as killed. It exits 1 when a mutant survives,
+the unmutated copy fails, or a row's old text does not occur exactly once
+in its file. It copies the working tree as it stands, so leave the tree
+alone while it runs. Standard library only.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,8 +131,8 @@ MUTANTS = [
     (
         "laplacian-dtype-admits-its-maximum",
         LAPLACIAN,
-        "if top > n)",
-        "if top >= n)",
+        "if top > n:",
+        "if top >= n:",
     ),
     (
         "laplacian-always-int8",
@@ -192,6 +195,29 @@ MUTANTS = [
         "edges.append((k - starts[i - 1] + i + 1, i))",
     ),
     (
+        # killed by test_charpoly_equals_frozen_nested_sum_reference_on_criterion_6
+        "charpoly-shifts-m-in-place",
+        ORACLE,
+        "    work = a.copy()\n",
+        "    work = a\n",
+    ),
+    (
+        # killed by test_count_equals_frozen_reference_at_both_scales
+        "count-sign-loop-without-its-flip",
+        ORACLE,
+        "            negative = not negative\n",
+        "",
+    ),
+    (
+        # killed by test_seed_is_the_float_root_or_else_the_midpoint;
+        # an escaped seed sends _refine into an endless loop, so a full suite
+        # run ends only at the runner's time limit
+        "seed-without-its-bracket-check",
+        ORACLE,
+        "    return round(x) if lo + 1 <= x <= hi - 1 else mid\n",
+        "    return round(x)\n",
+    ),
+    (
         "run-sweep-admits-any-mode",
         CLI,
         "    if mode not in (\"exhaustive\", \"random\"):\n"
@@ -200,27 +226,38 @@ MUTANTS = [
     ),
 ]
 
+# A mutant's suite run may take this many times the unmutated run before it
+# counts as hung, and so as killed.
+_SLOWDOWN_LIMIT = 5
+
 _IGNORED = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", ".perfbench-*"
 )
 
 
-def _suite_passes(old: str = "", new: str = "", path: str = "") -> bool:
+def _suite_passes(
+    old: str = "", new: str = "", path: str = "", timeout: float | None = None
+) -> bool:
     """Copy the repository, replace ``old`` by ``new`` in ``path`` (nothing
-    when ``path`` is empty) and run the suite there."""
+    when ``path`` is empty) and run the suite there. A run past ``timeout``
+    seconds counts as a failing suite: the mutant hung it."""
     with tempfile.TemporaryDirectory(prefix="loopspec-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_IGNORED)
         if path:
             target = copy / path
             target.write_text(target.read_text().replace(old, new))
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-            cwd=copy,
-            env=dict(os.environ, PYTHONPATH=str(copy / "src")),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                cwd=copy,
+                env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                timeout=timeout,
+            )
+        except subprocess.TimeoutExpired:
+            return False
         return result.returncode == 0
 
 
@@ -229,12 +266,14 @@ def main() -> int:
     if stale:
         print(f"old text does not occur exactly once: {stale}")
         return 1
+    start = time.monotonic()
     if not _suite_passes():
         print("the unmutated suite fails, so no mutant can be judged")
         return 1
+    timeout = max(120.0, _SLOWDOWN_LIMIT * (time.monotonic() - start))
     survivors = []
     for name, path, old, new in MUTANTS:
-        killed = not _suite_passes(old, new, path)
+        killed = not _suite_passes(old, new, path, timeout)
         print(f"{'killed' if killed else 'survived':<9}{name}", flush=True)
         if not killed:
             survivors.append(name)

@@ -24,12 +24,14 @@ from loopspec import (
 from loopspec.graphs import connected_components
 from loopspec.cli import run_sweep
 from loopspec.oracle import RETRY_CAP, _meets
+import builders
 from builders import (
     SWEEP_SEED,
     complete_graph,
     cycle_graph,
     reference_charpoly,
     reference_charpoly_eigenvalues,
+    reference_count,
     reference_enumerate_graphs,
     reference_random_graph,
     with_all_loops,
@@ -335,20 +337,36 @@ def test_oracle_equals_frozen_reference_on_criterion_6_with_fewer_counts(monkeyp
     """All 1098 graphs with n <= 4 give lists equal to the count-only
     reference, with at least 5x fewer Descartes counts: a return to counting
     at every bisection point fails here."""
-    calls = [0]
-    count = oracle._count
+    calls = {"oracle": 0, "reference": 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return count(*args)
+    def counted(side, count):
+        def wrapped(*args):
+            calls[side] += 1
+            return count(*args)
 
-    monkeypatch.setattr(oracle, "_count", counted)
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_count", counted("oracle", oracle._count))
+    monkeypatch.setattr(builders, "reference_count", counted("reference", reference_count))
     laps = [laplacian_of(g) for n in range(1, 5) for g in enumerate_graphs(n)]
     assert len(laps) == 1098
     got = [charpoly_eigenvalues(lap) for lap in laps]
-    new_calls, calls[0] = calls[0], 0
+    assert calls["reference"] == 0
     assert got == [reference_charpoly_eigenvalues(lap) for lap in laps]
-    assert 5 * new_calls <= calls[0]
+    assert 0 < 5 * calls["oracle"] <= calls["reference"]
+
+
+@given(symmetric_integer_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_equals_frozen_reference_at_both_scales(m, data):
+    # the bracket counts pass p itself (scale 0), the bisection the list
+    # charpoly_eigenvalues scales once by 2^(_SCALE (n - i))
+    poly = reference_charpoly(oracle._as_integer_matrix(m))
+    n = len(poly) - 1
+    for scale in (0, oracle._SCALE):
+        num = data.draw(st.integers(-(2 * n + 3) << scale, (2 * n + 3) << scale))
+        scaled = [c << (scale * (n - i)) for i, c in enumerate(poly)]
+        assert oracle._count(scaled, num) == reference_count(poly, num, scale)
 
 
 @given(symmetric_integer_matrices())
@@ -386,18 +404,21 @@ def horner_points(monkeypatch):
     return points
 
 
-def test_refinement_takes_at_most_half_the_passes_of_bisection(monkeypatch, horner_points):
+def test_refinement_takes_at_most_an_eighth_of_the_passes_of_bisection(
+    monkeypatch, horner_points
+):
     """Every root handed to ``_refine`` on criterion 6's graphs and the seeded
     order-5/6 graphs takes at most 2 log2(step) Horner passes, and all of
-    them together at most half of what bisecting each one down to the 2^-40
-    grid takes: a return to bisection, or a Newton step that stalls on one
-    side of the root, fails here."""
+    them together at most an eighth of what bisecting each one down to the
+    2^-40 grid takes (about an eighteenth when measured): a return to
+    bisection, a Newton step that stalls on one side of the root, or a lost
+    float seed fails here."""
     per_root = []
     refine = oracle._refine
 
-    def recorded(scaled, lo, hi, sign_lo):
+    def recorded(scaled, lo, hi, sign_lo, x):
         before = len(horner_points)
-        floor, exact = refine(scaled, lo, hi, sign_lo)
+        floor, exact = refine(scaled, lo, hi, sign_lo, x)
         per_root.append((hi - lo, floor - lo, exact, len(horner_points) - before))
         return floor, exact
 
@@ -415,14 +436,14 @@ def test_refinement_takes_at_most_half_the_passes_of_bisection(monkeypatch, horn
         # with the root's lowest set bit above the bracket's low end
         bisected += log2_step - (offset & -offset).bit_length() + 1 if exact else log2_step
     assert len(per_root) > 2000
-    assert 2 * used <= bisected
+    assert 8 * used <= bisected
 
 
 def test_refinement_bisects_where_the_derivative_vanishes(horner_points):
     # q(x) = (x - 8)^3 - 5 has one simple root, 8 + 5^(1/3) = 9.71, in
     # (0, 16), and q'(8) = 0 at the first point, the midpoint: the next
     # point must be the midpoint 12 of (8, 16), not a division by zero
-    assert oracle._refine([-517, 192, -24, 1], 0, 16, -1) == (9, False)
+    assert oracle._refine([-517, 192, -24, 1], 0, 16, -1, 8) == (9, False)
     assert horner_points[:2] == [8, 12]
 
 
@@ -435,8 +456,51 @@ def test_refinement_costs_at_most_twice_bisection_where_newton_crawls(horner_poi
     q = [math.comb(5, i) * (-c) ** (5 - i) for i in range(6)]
     q[0] -= c + 1
     q[1] += 1
-    assert oracle._refine(q, 0, 2**41, -1) == (c, False)
+    assert oracle._refine(q, 0, 2**41, -1, 2**40) == (c, False)
     assert len(horner_points) <= 2 * 41
+
+
+def _refinements(m):
+    """The (scaled, lo, hi, sign_lo, x) of every ``_refine`` call that
+    ``charpoly_eigenvalues(m)`` makes."""
+    calls = []
+    refine = oracle._refine
+
+    def recorded(*args):
+        calls.append(args)
+        return refine(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_refine", recorded)
+        try:
+            charpoly_eigenvalues(m)
+        except OracleError:
+            pass
+    return calls
+
+
+@given(symmetric_integer_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_refinement_returns_the_same_cell_from_every_start(m, data):
+    # the float seed only picks the first exact pass: any start strictly
+    # inside the bracket, the ends' neighbours included, gives the same answer
+    for scaled, lo, hi, sign_lo, x in _refinements(m):
+        assert lo < x < hi
+        expected = oracle._refine(scaled, lo, hi, sign_lo, (lo + hi) >> 1)
+        for start in (lo + 1, hi - 1, data.draw(st.integers(lo + 1, hi - 1))):
+            assert oracle._refine(scaled, lo, hi, sign_lo, start) == expected
+
+
+def test_seed_is_the_float_root_or_else_the_midpoint():
+    one = 1 << oracle._SCALE
+    # x^2 - 2 on (1, 2): float Newton from 3/2 lands on sqrt(2)'s grid point
+    assert abs(oracle._seed([1.0, 0.0, -2.0], one, 2 * one) - math.sqrt(2) * one) <= 1
+    # x^3 - x on (1/16, 17/16): p' is nearly 0 at the midpoint 9/16, so the
+    # first step throws the iterate below the bracket, toward the root -1
+    lo, hi = one >> 4, one + (one >> 4)
+    assert oracle._seed([1.0, 0.0, -1.0, 0.0], lo, hi) == (lo + hi) >> 1
+    # x^2 - 1e308 on (1, 2): the iterate overflows to inf, then NaN
+    assert oracle._seed([1.0, 0.0, -1e308], one, 2 * one) == 3 * one >> 1
 
 
 def test_oracle_agrees_with_solver_on_all_tiny_graphs():
