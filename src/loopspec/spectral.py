@@ -79,7 +79,17 @@ class Spectrum:
 
     @property
     def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
+        """The larger magnitude of the two ends of the ascending eigenvalues,
+        ``np.max(np.abs(ev))`` bit for bit without its array passes."""
+        ev = self.eigenvalues
+        return max(abs(float(ev[0])), abs(float(ev[-1]))) if ev.size else 0.0
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """||m||_F by ``np.linalg.norm``'s own route for a real matrix, one dot
+    of the elements in memory order with themselves, without its wrapper."""
+    flat = m.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def eigen_sym(matrix: np.ndarray) -> Spectrum:
@@ -105,10 +115,10 @@ def eigen_sym(matrix: np.ndarray) -> Spectrum:
         m = raw.astype(np.float64)
     except (OverflowError, TypeError) as exc:  # object entries: 10**400, None, 1j
         raise ValueError(f"matrix has an entry with no finite float64 value ({exc})") from exc
-    fro = float(np.linalg.norm(m))
+    fro = _frobenius(m)
     if not math.isfinite(fro):  # before the symmetry test, which NaN fails
         raise ValueError(f"matrix has a non-finite entry or Frobenius norm ({fro})")
-    if not np.array_equal(raw, raw.T):
+    if not (raw == raw.T).all():  # np.array_equal's test, the shapes being equal
         raise ValueError("matrix is not symmetric")
     try:
         values, vectors = np.linalg.eigh(m)
@@ -301,16 +311,18 @@ def _mirror_certificate(lap_lift: np.ndarray, lap: np.ndarray) -> bool:
     column and middle row repeat the first copy's, which is to say the copy
     swap leaves it unchanged. Its antisymmetric block, the top-left block
     minus the top-right one, must be the base Laplacian ``lap``. The blocks
-    are compared as views, so nothing of the lifted order is copied.
+    are compared as views of equal shape, once the order is right, so
+    nothing of the lifted order is copied.
     """
     n = lap.shape[0]
+    if lap_lift.shape != (2 * n + 1, 2 * n + 1):
+        return False
     return bool(
-        lap_lift.shape == (2 * n + 1, 2 * n + 1)
-        and np.array_equal(lap_lift[n + 1 :, n + 1 :], lap_lift[:n, :n])
-        and np.array_equal(lap_lift[n + 1 :, :n], lap_lift[:n, n + 1 :])
-        and np.array_equal(lap_lift[n + 1 :, n], lap_lift[:n, n])
-        and np.array_equal(lap_lift[n, n + 1 :], lap_lift[n, :n])
-        and np.array_equal(lap_lift[:n, :n] - lap_lift[:n, n + 1 :], lap)
+        (lap_lift[n + 1 :, n + 1 :] == lap_lift[:n, :n]).all()
+        and (lap_lift[n + 1 :, :n] == lap_lift[:n, n + 1 :]).all()
+        and (lap_lift[n + 1 :, n] == lap_lift[:n, n]).all()
+        and (lap_lift[n, n + 1 :] == lap_lift[n, :n]).all()
+        and (lap_lift[:n, :n] - lap_lift[:n, n + 1 :] == lap).all()
     )
 
 
@@ -324,12 +336,14 @@ def _lifted_top(lap_lift: np.ndarray, lap: np.ndarray) -> float:
     input checks.
     """
     n = lap.shape[0]
-    s = np.empty((n + 1, n + 1))
+    # One float64 copy of LL's leading block, made before any scaling, so
+    # numpy 1.x never multiplies an int8 (int16) array by a Python float in
+    # float16 (float32). eigvalsh reads the lower triangle: the scaled
+    # column is copied into the row.
+    s = lap_lift[: n + 1, : n + 1].astype(np.float64)
     s[:n, :n] = lap
-    # Cast before scaling: numpy 1.x multiplies an int8 (int16) array by a
-    # Python float in float16 (float32).
-    s[:n, n] = s[n, :n] = math.sqrt(2.0) * lap_lift[:n, n].astype(np.float64)
-    s[n, n] = lap_lift[n, n]
+    s[:n, n] *= math.sqrt(2.0)
+    s[n, :n] = s[:n, n]
     try:
         return float(np.linalg.eigvalsh(s)[-1])
     except np.linalg.LinAlgError as exc:
@@ -371,12 +385,12 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     res -= vectors * spec.eigenvalues
     gram = vectors.T @ vectors
     gram.flat[:: g.n + 1] -= 1.0
-    eta = float(np.linalg.norm(gram))
+    eta = _frobenius(gram)
     del gram  # N^2 floats that nothing reads past eta
     gap = worst_res = math.inf
     if _mirror_certificate(lap_lift, lap):  # res's column norms are then the lift's
         worst_res = float(np.sqrt((res * res).sum(axis=0)).max())
-        gap = float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
+        gap = _frobenius(res) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
 
     rho_lift = _lifted_top(lap_lift, lap)
     rho_base = spec.spectral_radius

@@ -2,12 +2,14 @@
 test suite."""
 
 import bisect
+import functools
 import itertools
 import json
 import math
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from loopspec import (
@@ -15,7 +17,9 @@ from loopspec import (
     EdgeListError,
     Graph,
     LiftedGraph,
+    cli,
     graph_from_edges,
+    laplacian,
     lift,
     oracle,
 )
@@ -55,6 +59,21 @@ def with_all_loops(g: Graph) -> Graph:
     return Graph(g.n, g.edges | {(v, v) for v in range(1, g.n + 1)})
 
 
+@functools.cache
+def campaign_graphs() -> tuple[Graph, ...]:
+    """Criterion 2's 1098 graphs and criterion 3's 1000, as ``run_sweep``
+    draws them."""
+    drawn = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_verify_one", lambda g, match_tol: drawn.append(g))
+        cli.run_sweep(mode="exhaustive", n_max=4)
+        cli.run_sweep(
+            mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
+        )
+    assert len(drawn) == 1098 + 1000
+    return tuple(drawn)
+
+
 def incidence_matrix(g: Graph, dtype=np.int64) -> np.ndarray:
     """Edge-by-vertex signed incidence matrix E, one row per canonical edge.
 
@@ -87,6 +106,19 @@ def degree_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
             d[j - 1, j - 1] += 1
             a[i - 1, j - 1] = a[j - 1, i - 1] = 1
     return d, a
+
+
+def reference_laplacian_of(g: Graph) -> np.ndarray:
+    """Frozen copy of ``laplacian_of`` before its diagonal took one count:
+    the endpoint count minus a second count of the loops, written over the
+    -1s of the scatter. Reuses only the dtype rule, ``_entry_dtype``."""
+    n, m = g.n, len(g.edges)
+    e = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp, 2 * m).reshape(m, 2) - 1
+    i, j = e[:, 0], e[:, 1]
+    lap = np.zeros((n, n), dtype=laplacian._entry_dtype(n))
+    lap[i, j] = lap[j, i] = -1
+    lap.flat[:: n + 1] = np.bincount(e.ravel(), minlength=n) - np.bincount(i[i == j], minlength=n)
+    return lap
 
 
 def reference_connected_components(g: Graph) -> ComponentPartition:
@@ -434,7 +466,10 @@ def misrouted_spoke(g: Graph) -> LiftedGraph:
 def symmetric_block(lap_lift: np.ndarray) -> np.ndarray:
     """The order-(N+1) symmetric block S = [[A + B, sqrt2 c], [sqrt2 c^T, d]]
     of a lifted Laplacian with blocks [[A, c, B], [c^T, d, c^T], [B, c, A]]
-    (see :mod:`loopspec.lifting`), as float64 with the sqrt2 border."""
+    (see :mod:`loopspec.lifting`), as float64 with the sqrt2 border. It is
+    written piece by piece into an empty matrix, as ``spectral._lifted_top``
+    once built S; on a certified lift, B = 0 and A = L(G), so it is the S
+    that ``_lifted_top`` hands to ``eigvalsh``."""
     n = lap_lift.shape[0] // 2
     s = np.empty((n + 1, n + 1))
     s[:n, :n] = lap_lift[:n, :n] + lap_lift[:n, n + 1 :]

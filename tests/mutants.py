@@ -35,44 +35,44 @@ MUTANTS = [
     (
         "certificate-without-its-order-check",
         SPECTRAL,
-        "lap_lift.shape == (2 * n + 1, 2 * n + 1)\n        and ",
+        "    if lap_lift.shape != (2 * n + 1, 2 * n + 1):\n        return False\n",
         "",
     ),
     (
         "certificate-without-the-second-a",
         SPECTRAL,
-        "        and np.array_equal(lap_lift[n + 1 :, n + 1 :], lap_lift[:n, :n])\n",
+        "(lap_lift[n + 1 :, n + 1 :] == lap_lift[:n, :n]).all()\n        and ",
         "",
     ),
     (
         "certificate-without-the-second-b",
         SPECTRAL,
-        "        and np.array_equal(lap_lift[n + 1 :, :n], lap_lift[:n, n + 1 :])\n",
+        "        and (lap_lift[n + 1 :, :n] == lap_lift[:n, n + 1 :]).all()\n",
         "",
     ),
     (
         "certificate-without-the-middle-column",
         SPECTRAL,
-        "        and np.array_equal(lap_lift[n + 1 :, n], lap_lift[:n, n])\n",
+        "        and (lap_lift[n + 1 :, n] == lap_lift[:n, n]).all()\n",
         "",
     ),
     (
         "certificate-without-the-middle-row",
         SPECTRAL,
-        "        and np.array_equal(lap_lift[n, n + 1 :], lap_lift[n, :n])\n",
+        "        and (lap_lift[n, n + 1 :] == lap_lift[n, :n]).all()\n",
         "",
     ),
     (
         "certificate-without-a-minus-b",
         SPECTRAL,
-        "        and np.array_equal(lap_lift[:n, :n] - lap_lift[:n, n + 1 :], lap)\n",
+        "        and (lap_lift[:n, :n] - lap_lift[:n, n + 1 :] == lap).all()\n",
         "",
     ),
     (
         "kahan-gap-without-its-divisor",
         SPECTRAL,
-        "float(np.linalg.norm(res)) / math.sqrt(1.0 - eta) if",
-        "float(np.linalg.norm(res)) if",
+        "_frobenius(res) / math.sqrt(1.0 - eta) if",
+        "_frobenius(res) if",
     ),
     (
         "lift-eigvec-reads-the-mean-column",
@@ -127,6 +127,29 @@ MUTANTS = [
         SPECTRAL,
         "    del gram  # N^2 floats that nothing reads past eta\n",
         "",
+    ),
+    (
+        # killed by test_lifted_top_equals_the_frozen_block_construction_bitwise:
+        # eigvalsh reads the lower triangle, so it would see c unscaled
+        "lifted-top-without-the-column-to-row-copy",
+        SPECTRAL,
+        "    s[n, :n] = s[:n, n]\n",
+        "",
+    ),
+    (
+        # killed by test_spectral_radius_is_the_largest_magnitude_bitwise
+        "spectral-radius-reads-the-top-end-alone",
+        SPECTRAL,
+        "max(abs(float(ev[0])), abs(float(ev[-1])))",
+        "abs(float(ev[-1]))",
+    ),
+    (
+        # killed by test_worked_example_laplacian: a loop's vertex would
+        # keep both of its endpoint counts
+        "laplacian-diagonal-counts-loops-twice",
+        LAPLACIAN,
+        "np.bincount(e, minlength=n) + lap.diagonal()",
+        "np.bincount(e, minlength=n)",
     ),
     (
         "laplacian-dtype-admits-its-maximum",
@@ -209,13 +232,19 @@ MUTANTS = [
         "",
     ),
     (
-        # killed by test_seed_is_the_float_root_or_else_the_midpoint;
-        # an escaped seed sends _refine into an endless loop, so a full suite
-        # run ends only at the runner's time limit
+        # killed by test_seed_is_the_float_root_or_else_the_midpoint; an
+        # escaped seed also makes _refine raise OracleError
         "seed-without-its-bracket-check",
         ORACLE,
         "    return round(x) if lo + 1 <= x <= hi - 1 else mid\n",
         "    return round(x)\n",
+    ),
+    (
+        # killed by test_refinement_refuses_a_first_point_outside_the_open_bracket
+        "refine-without-its-first-point-check",
+        ORACLE,
+        "    if not lo < x < hi:\n        raise OracleError(",
+        "    if False:\n        raise OracleError(",
     ),
     (
         "run-sweep-admits-any-mode",

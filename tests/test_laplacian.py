@@ -12,7 +12,15 @@ from loopspec import (
     random_graph,
 )
 from loopspec.laplacian import _entry_dtype
-from builders import degree_adjacency, graphs, incidence_matrix, looped_hub, path_graph
+from builders import (
+    campaign_graphs,
+    degree_adjacency,
+    graphs,
+    incidence_matrix,
+    looped_hub,
+    path_graph,
+    reference_laplacian_of,
+)
 
 
 def _narrowest(n):
@@ -62,6 +70,17 @@ def test_incidence_row_sums():
     sums = e.sum(axis=1)
     for row, (i, j) in zip(sums, sorted(g.edges)):
         assert row == (1 if i == j else 0)
+
+
+def test_laplacian_equals_the_frozen_reference_bitwise():
+    # every graph with n <= 4 (criterion 2), criterion 3's graphs and one of
+    # each order 22..30, and each one's lift: the one-count diagonal gives
+    # the frozen two-count assembly's dtype and entries
+    large = [random_graph(GeneratorConfig(n, 0.4, 0.3, 3000 * n)) for n in range(22, 31)]
+    for g in campaign_graphs() + tuple(large):
+        for h in (g, lift(g).lifted):
+            lap, frozen = laplacian_of(h), reference_laplacian_of(h)
+            assert lap.dtype == frozen.dtype and np.array_equal(lap, frozen), h
 
 
 @given(graphs())

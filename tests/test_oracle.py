@@ -460,6 +460,16 @@ def test_refinement_costs_at_most_twice_bisection_where_newton_crawls(horner_poi
     assert len(horner_points) <= 2 * 41
 
 
+@pytest.mark.parametrize("x", [0, 16, -1, 17])
+def test_refinement_refuses_a_first_point_outside_the_open_bracket(horner_points, x):
+    # q(x) = (x - 8)^3 - 5 on (0, 16), as above: a first point on or past a
+    # bracket end would move that end onto or past the other, and the
+    # midpoints of an inverted bracket never end the loop
+    with pytest.raises(OracleError, match=r"outside the bracket \(0, 16\)"):
+        oracle._refine([-517, 192, -24, 1], 0, 16, -1, x)
+    assert horner_points == []
+
+
 def _refinements(m):
     """The (scaled, lo, hi, sign_lo, x) of every ``_refine`` call that
     ``charpoly_eigenvalues(m)`` makes."""

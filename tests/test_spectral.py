@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import loopspec.cli as cli
 import loopspec.lifting as lifting
 import loopspec.spectral as spectral
 from loopspec import (
@@ -32,10 +30,9 @@ from loopspec import (
     spectrum_subset,
     verify_all,
 )
-from loopspec.cli import run_sweep
 from loopspec.graphs import _max_nonloop_degree
 from builders import (
-    SWEEP_SEED,
+    campaign_graphs,
     complete_graph,
     cycle_graph,
     graphs,
@@ -380,7 +377,7 @@ def _oracle_ids(g):
 
 def test_report_ids_follow_the_oracles_on_the_campaigns():
     # criteria 2 and 3: which claims apply, and their order, on 2098 graphs
-    for g in _campaign_graphs():
+    for g in campaign_graphs():
         assert [c.id for c in verify_all(g).checks] == _oracle_ids(g), g
 
 
@@ -441,6 +438,27 @@ def test_spectral_radius_of_empty_spectrum_is_zero():
     assert spec.spectral_radius == 0.0
 
 
+def test_spectral_radius_is_the_largest_magnitude_bitwise():
+    # spectral_radius reads the two ends of the ascending eigenvalues; it
+    # must equal the largest magnitude over all of them, bit for bit, on
+    # indefinite, negative-definite and positive semidefinite matrices, on
+    # +-0 alone and on Laplacians
+    rng = np.random.default_rng(29)
+    matrices = [np.zeros((1, 1)), np.full((1, 1), -0.0), -np.eye(3), np.diag([-5.0, 0.0, 5.0])]
+    for n in range(1, 9):
+        a = rng.standard_normal((n, n))
+        matrices += [a + a.T, -(a @ a.T) - np.eye(n), a @ a.T]
+    matrices += [laplacian_of(g) for g in campaign_graphs()[1098::50]]
+    bottom_larger = 0
+    for m in matrices:
+        spec = eigen_sym(m)
+        ev = spec.eigenvalues
+        expected = float(np.max(np.abs(ev)))
+        assert spec.spectral_radius.hex() == expected.hex(), (m, ev)
+        bottom_larger += abs(ev[-1]) < expected
+    assert bottom_larger >= 8
+
+
 # --- the mirror split of the lift ---
 
 
@@ -495,26 +513,32 @@ def test_lifted_top_of_a_loopless_graph_is_lambda_n():
         assert abs(top - lam_n) <= _lifted_top_tol(g.n, lam_n), (g, top, lam_n)
 
 
-@functools.cache
-def _campaign_graphs():
-    """Criterion 2's 1098 graphs and criterion 3's 1000, as run_sweep draws
-    them."""
-    drawn = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_verify_one", lambda g, match_tol: drawn.append(g))
-        run_sweep(mode="exhaustive", n_max=4)
-        run_sweep(
-            mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
-        )
-    assert len(drawn) == 1098 + 1000
-    return tuple(drawn)
+def test_lifted_top_equals_the_frozen_block_construction_bitwise(monkeypatch):
+    # criteria 2 and 3's graphs and one of each order 22..30: the S that
+    # _lifted_top hands to eigvalsh is symmetric_block's, built as S once
+    # was, byte for byte, its lower triangle included, and so is
+    # lambda_max(S)
+    eigvalsh, passed = np.linalg.eigvalsh, []
+
+    def recording(s):
+        passed.append(s.copy())
+        return eigvalsh(s)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    large = [random_graph(GeneratorConfig(n, 0.4, 0.3, 3000 * n)) for n in range(22, 31)]
+    for g in campaign_graphs() + tuple(large):
+        lap_lift, lap = laplacian_of(lift(g).lifted), laplacian_of(g)
+        top = spectral._lifted_top(lap_lift, lap)
+        s, frozen = passed.pop(), symmetric_block(lap_lift)
+        assert s.dtype == frozen.dtype and s.tobytes() == frozen.tobytes(), g
+        assert top.hex() == float(eigvalsh(frozen)[-1]).hex(), g
 
 
 def test_lifted_top_stays_near_the_secular_bisection():
     # the bisection on S's secular equation, on L(G)'s eigenpairs, is an
     # independent route to lambda_max(S); criterion 2's graphs and the
     # first 200 of criterion 3's
-    for g in _campaign_graphs()[: 1098 + 200]:
+    for g in campaign_graphs()[: 1098 + 200]:
         lap_lift, lap = laplacian_of(lift(g).lifted), laplacian_of(g)
         top = spectral._lifted_top(lap_lift, lap)
         reference = reference_lifted_top(lap_lift, eigen_sym(lap))
@@ -547,7 +571,7 @@ def test_lifted_margins_stay_near_the_mirror_basis_residual(monkeypatch):
         random_graph(GeneratorConfig(n, 0.4, 0.3, 3000 * n, require="pseudo_connected"))
         for n in range(22, 31)
     )
-    for g in _campaign_graphs() + large:
+    for g in campaign_graphs() + large:
         _assert_lifted_margins_match_the_mirror_basis(g)
 
     # One visibly skewed eigenvector among good ones: eta ~ 1e-3 shows
@@ -640,17 +664,10 @@ def test_a_miswired_lift_fails_the_lifted_claims(monkeypatch, bad_lift, swap_sym
         assert checks[cid].passed, checks[cid]
 
 
-def test_mirror_certificate_equals_the_reference_on_the_campaigns(monkeypatch):
+def test_mirror_certificate_equals_the_reference_on_the_campaigns():
     # criteria 2 and 3's graphs, drawn by run_sweep, each with its lift and
     # every miswired lift that applies to it
-    drawn = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol: drawn.append(g))
-    run_sweep(mode="exhaustive", n_max=4)
-    run_sweep(
-        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
-    )
-    assert len(drawn) == 1098 + 1000
-    for g in drawn:
+    for g in campaign_graphs():
         lap = laplacian_of(g)
         builders = [lift]
         if 0 < g.loop_count < g.n:
