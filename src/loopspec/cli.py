@@ -7,9 +7,7 @@ verify (run all spectral checks), generate (seeded random graph), sweep
 Exit codes: 0 success, 1 at least one verification check failed, 2 usage,
 I/O, allocation or computation error, or a dense order above
 MAX_DENSE_ORDER. Floats are printed with 9
-significant digits so output is stable across platforms. The environment
-variable LOOPSPEC_TOL (a positive finite decimal string) overrides the
-default eigenvalue match tolerance.
+significant digits so output is stable across platforms.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,9 +32,7 @@ from .oracle import (
     enumerate_graphs,
     random_graph,
 )
-from .spectral import (
-    JacobiConvergenceError, MATCH_TOL, _check_match_tol, _claims, _solve_base, verify_all,
-)
+from .spectral import JacobiConvergenceError, _claims, _solve_base, verify_all
 
 __all__ = ["MAX_DENSE_ORDER", "SweepResult", "main", "run_sweep"]
 
@@ -93,16 +88,6 @@ def _round9(obj):
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(_round9(payload), indent=2, allow_nan=False))
-
-
-def _match_tol() -> float:
-    raw = os.environ.get("LOOPSPEC_TOL")
-    if raw is None:
-        return MATCH_TOL
-    try:
-        return _check_match_tol(float(raw))
-    except ValueError:
-        raise ValueError(f"LOOPSPEC_TOL must be a positive finite number, got {raw!r}") from None
 
 
 def _load(path: str) -> Graph:
@@ -184,7 +169,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load(args.path)
     _check_dense_order(args.path, 2 * g.n + 1)
-    report = verify_all(g, match_tol=_match_tol())
+    report = verify_all(g)
     _print_json(report.to_json_dict())
     return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED
 
@@ -211,12 +196,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _verify_one(g: Graph, match_tol: float) -> dict | None:
+def _verify_one(g: Graph) -> dict | None:
     """Verify ``g``; None if it passes, else its failure fields, to which
     :func:`run_sweep` prepends the witness. A solver that does not converge
     fails this graph only, so the campaign goes on."""
     try:
-        report = verify_all(g, match_tol=match_tol)
+        report = verify_all(g)
     except JacobiConvergenceError as exc:
         return {"error": str(exc)}
     if report.passed:
@@ -236,7 +221,6 @@ def run_sweep(
     n_min: int = 2,
     p_edge: float = 0.4,
     p_loop: float = 0.3,
-    match_tol: float = MATCH_TOL,
 ) -> SweepResult:
     """Verify a campaign of graphs and collect failures.
 
@@ -248,14 +232,13 @@ def run_sweep(
     A graph whose eigensolve does not converge is recorded as a failure with
     an ``error`` message instead of aborting the sweep. Raises ``ValueError``
     before verifying anything when ``mode`` is neither ``"exhaustive"`` nor
-    ``"random"``, when ``match_tol`` is not a positive finite number, when an
-    exhaustive sweep asks for an ``n_max`` outside ``1..MAX_ENUM_VERTICES``,
-    or a random one for an ``n_min`` outside ``1..n_max``, a negative
-    ``samples`` or a ``p_edge`` or ``p_loop`` outside [0, 1].
+    ``"random"``, when an exhaustive sweep asks for an ``n_max`` outside
+    ``1..MAX_ENUM_VERTICES``, or a random one for an ``n_min`` outside
+    ``1..n_max``, a negative ``samples`` or a ``p_edge`` or ``p_loop``
+    outside [0, 1].
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
-    _check_match_tol(match_tol)
     if mode == "exhaustive" and not 1 <= n_max <= MAX_ENUM_VERTICES:
         raise ValueError(
             f"exhaustive sweeps need n-max >= 1 and are capped at n-max "
@@ -273,7 +256,7 @@ def run_sweep(
         for n in range(1, n_max + 1):
             for index, g in enumerate(enumerate_graphs(n)):
                 total += 1
-                if (failure := _verify_one(g, match_tol)) is not None:
+                if (failure := _verify_one(g)) is not None:
                     failures.append({"n": n, "index": index, **failure})
     else:
         root = np.random.default_rng(seed)
@@ -287,7 +270,7 @@ def run_sweep(
                 seed=int(child_seeds[i]),
             )
             total += 1
-            if (failure := _verify_one(random_graph(cfg), match_tol)) is not None:
+            if (failure := _verify_one(random_graph(cfg))) is not None:
                 failures.append({"sample": i, "config": cfg.to_json_dict(), **failure})
     return SweepResult(mode, total, total - len(failures), tuple(failures))
 
@@ -302,7 +285,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n_min=args.n_min,
         p_edge=args.p_edge,
         p_loop=args.p_loop,
-        match_tol=_match_tol(),
     )
     _print_json(result.to_json_dict())
     return _EXIT_OK if not result.failures else _EXIT_CHECK_FAILED

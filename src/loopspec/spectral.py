@@ -53,14 +53,6 @@ MATCH_TOL = 1e-8        # absolute eigenvalue match tolerance, scaled by max(1, 
 POSITIVITY_TOL = 1e-8   # positive-definiteness threshold, scaled by max(1, rho)
 
 
-def _check_match_tol(match_tol: float) -> float:
-    """``match_tol`` itself; ``ValueError`` unless 0 < match_tol < inf (NaN
-    included, which would pass or fail every match whatever the gap)."""
-    if not 0.0 < match_tol < math.inf:
-        raise ValueError(f"match_tol must be a positive finite number, got {match_tol}")
-    return match_tol
-
-
 class JacobiConvergenceError(RuntimeError):
     """The eigensolver did not converge. The name dates from the Jacobi
     solver and is kept for the callers that catch it: ``cli.main``,
@@ -239,9 +231,12 @@ def spectrum_subset(
     Greedy two-pointer over the sorted lists: each value of ``a`` takes the
     smallest still-available value of ``b`` within tolerance, which is optimal
     for interval matching on sorted sequences. Repeated eigenvalues therefore
-    need matching multiplicity in ``b``.
+    need matching multiplicity in ``b``. Raises ``ValueError`` unless
+    0 < ``match_tol`` < inf (NaN included, which would pass or fail every
+    match whatever the gap).
     """
-    _check_match_tol(match_tol)
+    if not 0.0 < match_tol < math.inf:
+        raise ValueError(f"match_tol must be a positive finite number, got {match_tol}")
     av = _eigenvalue_array(a)
     bv = _eigenvalue_array(b)
     pairs: list[tuple[int, int]] = []
@@ -360,7 +355,7 @@ def _solve_base(g: Graph) -> tuple[np.ndarray, Spectrum, int, bool]:
     return lap, spec, parts.count, _pseudo_connected(g, parts)
 
 
-def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
+def verify_all(g: Graph) -> VerificationReport:
     """Run every spectral check applicable to ``g`` (see :func:`_claims`)
     and report margins.
 
@@ -371,13 +366,12 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
     of Lambda, eta = ||V^T V - I||_F; without the certificate, gap and the
     lifted residuals are infinite.
 
-    Absolute tolerances are ``match_tol`` scaled by max(1, spectral radius)
-    of the matrix each check concerns; for the lift, lambda_max of its block
-    S (:func:`_lifted_top`). Solver non-convergence, of either solve,
-    propagates as :class:`JacobiConvergenceError`. Raises ``ValueError``
-    unless 0 < ``match_tol`` < inf.
+    Absolute tolerances are :data:`MATCH_TOL` and :data:`POSITIVITY_TOL`,
+    read when it runs, scaled by max(1, spectral radius) of the matrix each
+    check concerns; for the lift, lambda_max of its block S
+    (:func:`_lifted_top`). Solver non-convergence, of either solve,
+    propagates as :class:`JacobiConvergenceError`.
     """
-    _check_match_tol(match_tol)
     lap, spec, components, pseudo = _solve_base(g)
     lap_lift = laplacian_of(lift(g).lifted)
     vectors = spec.eigenvectors
@@ -394,8 +388,8 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
 
     rho_lift = _lifted_top(lap_lift, lap)
     rho_base = spec.spectral_radius
-    tol_base = match_tol * max(1.0, rho_base)
-    tol_lift = match_tol * max(1.0, rho_lift)
+    tol_base = MATCH_TOL * max(1.0, rho_base)
+    tol_lift = MATCH_TOL * max(1.0, rho_lift)
     pos_base = POSITIVITY_TOL * max(1.0, rho_base)
     pos_lift = POSITIVITY_TOL * max(1.0, rho_lift)
     lifted = (tol_base, pos_base, tol_lift, pos_lift, gap, worst_res)
@@ -409,7 +403,7 @@ def verify_all(g: Graph, match_tol: float = MATCH_TOL) -> VerificationReport:
         checks=tuple(CheckResult(r["id"], r["pass"], r["margin"]) for r in rows),
         tolerances={
             "solver_tol": SOLVER_TOL,
-            "match_tol": match_tol,
+            "match_tol": MATCH_TOL,
             "match_tol_scaled_base": tol_base,
             "match_tol_scaled_lifted": tol_lift,
             "positivity_threshold_base": pos_base,

@@ -65,7 +65,7 @@ def campaign_graphs() -> tuple[Graph, ...]:
     draws them."""
     drawn = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_verify_one", lambda g, match_tol: drawn.append(g))
+        mp.setattr(cli, "_verify_one", lambda g: drawn.append(g))
         cli.run_sweep(mode="exhaustive", n_max=4)
         cli.run_sweep(
             mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3

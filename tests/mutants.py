@@ -1,15 +1,19 @@
 """Mutation runner: each row of ``MUTANTS`` plants one fault in a fresh
-temporary copy of the repository, and ``pytest -x -q`` runs there. The
-mutant is killed when the suite fails, and survives when it passes.
+temporary copy of the repository and names the test that must kill it.
 
-Run it from any directory as ``python tests/mutants.py``. Each row costs
-up to one full suite run (about 30 s on 2 vCPUs), so the runner stays out
-of the suite: pytest does not collect this file. It first runs the suite on
-an unmutated copy, since a failing suite would kill every mutant. A mutant
-whose run takes five times as long as that one (two minutes at least) has
-hung the suite, and counts as killed. It exits 1 when a mutant survives,
-the unmutated copy fails, or a row's old text does not occur exactly once
-in its file. It copies the working tree as it stands, so leave the tree
+Run it from any directory as ``python tests/mutants.py``; pytest does not
+collect this file. It first runs the whole suite on an unmutated copy,
+since a failing suite would kill every mutant, and then every named test
+there, since a name pytest cannot find would fail every run. For each row
+it runs ``pytest -x -q <named test>`` on the mutated copy: the row is
+killed when that test fails. When the named test passes, it runs the whole
+suite on the copy, and the row fails the table either way: as a ``stale
+killer`` when the suite fails (another test kills the mutant, so the row
+names the wrong one) or as ``survived`` when the suite passes. A run that
+takes five times as long as the unmutated suite (two minutes at least)
+has hung, and counts as failing. It exits 1 unless every row is killed by
+its named test, or when a row's old text does not occur exactly once in
+its file. It copies the working tree as it stands, so leave the tree
 alone while it runs. Standard library only.
 """
 
@@ -30,224 +34,252 @@ CLI = "src/loopspec/cli.py"
 LAPLACIAN = "src/loopspec/laplacian.py"
 ORACLE = "src/loopspec/oracle.py"
 
-# (name, file, exact old text, new text)
+# (name, id of the test that must kill it, file, exact old text, new text)
 MUTANTS = [
     (
         "certificate-without-its-order-check",
+        "tests/test_spectral.py::test_mirror_certificate_refuses_every_other_order_without_raising",
         SPECTRAL,
         "    if lap_lift.shape != (2 * n + 1, 2 * n + 1):\n        return False\n",
         "",
     ),
     (
         "certificate-without-the-second-a",
+        "tests/test_spectral.py::test_mirror_certificate_equals_the_reference_on_block_matrices",
         SPECTRAL,
         "(lap_lift[n + 1 :, n + 1 :] == lap_lift[:n, :n]).all()\n        and ",
         "",
     ),
     (
         "certificate-without-the-second-b",
+        "tests/test_spectral.py::test_mirror_certificate_equals_the_reference_on_block_matrices",
         SPECTRAL,
         "        and (lap_lift[n + 1 :, :n] == lap_lift[:n, n + 1 :]).all()\n",
         "",
     ),
     (
         "certificate-without-the-middle-column",
+        "tests/test_spectral.py::test_mirror_certificate_equals_the_reference_on_block_matrices",
         SPECTRAL,
         "        and (lap_lift[n + 1 :, n] == lap_lift[:n, n]).all()\n",
         "",
     ),
     (
         "certificate-without-the-middle-row",
+        "tests/test_spectral.py::test_mirror_certificate_equals_the_reference_on_block_matrices",
         SPECTRAL,
         "        and (lap_lift[n, n + 1 :] == lap_lift[n, :n]).all()\n",
         "",
     ),
     (
         "certificate-without-a-minus-b",
+        "tests/test_spectral.py::test_mirror_certificate_equals_the_reference_on_block_matrices",
         SPECTRAL,
         "        and (lap_lift[:n, :n] - lap_lift[:n, n + 1 :] == lap).all()\n",
         "",
     ),
     (
         "kahan-gap-without-its-divisor",
+        "tests/test_spectral.py::test_lifted_margins_stay_near_the_mirror_basis_residual",
         SPECTRAL,
         "_frobenius(res) / math.sqrt(1.0 - eta) if",
         "_frobenius(res) if",
     ),
     (
         "lift-eigvec-reads-the-mean-column",
+        "tests/test_spectral.py::test_lifted_margins_stay_near_the_mirror_basis_residual",
         SPECTRAL,
         "worst_res = float(np.sqrt((res * res).sum(axis=0)).max())",
         "worst_res = float(np.sqrt((res * res).sum(axis=0)).mean())",
     ),
     (
         "eq6-interval-plus-2",
+        "tests/test_spectral.py::test_an_injected_fault_fails_its_checks",
         SPECTRAL,
         "interval = bound + 1.0 if loopless else bound",
         "interval = bound + 2.0 if loopless else bound + 1.0",
     ),
     (
         "lemma1-passes-a-zero-margin",
+        "tests/test_spectral.py::test_lemma1_and_eq7_fail_at_a_zero_margin",
         SPECTRAL,
         '{"id": "lemma1", "margin": margin, "pass": margin > 0.0}',
         '{"id": "lemma1", "margin": margin, "pass": margin >= 0.0}',
     ),
     (
         "eq7-passes-a-zero-margin",
+        "tests/test_spectral.py::test_lemma1_and_eq7_fail_at_a_zero_margin",
         SPECTRAL,
         '{"id": "eq7", "margin": margin, "pass": margin > 0.0}',
         '{"id": "eq7", "margin": margin, "pass": margin >= 0.0}',
     ),
     (
         "closed-form-rows-owe-the-match-tolerance",
+        "tests/test_spectral.py::test_loopless_connected_report_uses_eq2_and_eq3",
         SPECTRAL,
         'row["pass"] = row["margin"] >= -tol_base',
         'row["pass"] = row["margin"] >= tol_base',
     ),
     (
         "match-tol-admits-infinity",
+        "tests/test_spectral.py::test_subset_match_tolerance_edges",
         SPECTRAL,
         "if not 0.0 < match_tol < math.inf:",
         "if not 0.0 < match_tol:",
     ),
     (
         "gram-without-its-diagonal",
+        "tests/test_spectral.py::test_worked_example_report",
         SPECTRAL,
         "    gram.flat[:: g.n + 1] -= 1.0\n",
         "",
     ),
     (
         "residual-formed-out-of-place",
+        "tests/test_spectral.py::test_verify_all_holds_few_float_matrices_of_the_base_order",
         SPECTRAL,
         "    res -= vectors * spec.eigenvalues\n",
         "    res = res - vectors * spec.eigenvalues\n",
     ),
     (
         "verify-all-keeps-its-gram-matrix",
+        "tests/test_spectral.py::test_verify_all_holds_few_float_matrices_of_the_base_order",
         SPECTRAL,
         "    del gram  # N^2 floats that nothing reads past eta\n",
         "",
     ),
     (
-        # killed by test_lifted_top_equals_the_frozen_block_construction_bitwise:
         # eigvalsh reads the lower triangle, so it would see c unscaled
         "lifted-top-without-the-column-to-row-copy",
+        "tests/test_spectral.py::test_lifted_top_equals_the_frozen_block_construction_bitwise",
         SPECTRAL,
         "    s[n, :n] = s[:n, n]\n",
         "",
     ),
     (
-        # killed by test_spectral_radius_is_the_largest_magnitude_bitwise
         "spectral-radius-reads-the-top-end-alone",
+        "tests/test_spectral.py::test_spectral_radius_is_the_largest_magnitude_bitwise",
         SPECTRAL,
         "max(abs(float(ev[0])), abs(float(ev[-1])))",
         "abs(float(ev[-1]))",
     ),
     (
-        # killed by test_worked_example_laplacian: a loop's vertex would
-        # keep both of its endpoint counts
+        # a loop's vertex would keep both of its endpoint counts
         "laplacian-diagonal-counts-loops-twice",
+        "tests/test_laplacian.py::test_worked_example_laplacian",
         LAPLACIAN,
         "np.bincount(e, minlength=n) + lap.diagonal()",
         "np.bincount(e, minlength=n)",
     ),
     (
         "laplacian-dtype-admits-its-maximum",
+        "tests/test_laplacian.py::test_the_dtype_rule_at_every_switch",
         LAPLACIAN,
         "if top > n:",
         "if top >= n:",
     ),
     (
         "laplacian-always-int8",
+        "tests/test_laplacian.py::test_the_largest_entry_fits_at_the_int8_boundary",
         LAPLACIAN,
         "dtype=_entry_dtype(n))",
         "dtype=np.int8)",
     ),
     (
         "plain-kernel-reads-19-digit-tokens",
+        "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
         "_MAX_PLAIN_DIGITS = 18",
         "_MAX_PLAIN_DIGITS = 19",
     ),
     (
         "plain-kernel-without-pairs-on-one-line",
+        "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
         "np.any(line[0::2] != line[1::2]) or ",
         "",
     ),
     (
         "plain-kernel-without-one-pair-per-line",
+        "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
         " or np.any(line[2::2] == line[1:-1:2])",
         "",
     ),
     (
         "plain-kernel-admits-n-0",
+        "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
         "if n < 1 or lo.size",
         "if lo.size",
     ),
     (
         "plain-kernel-admits-endpoint-0",
+        "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
         " or np.any(lo < 1) or",
         " or",
     ),
     (
         "plain-kernel-admits-endpoints-above-n",
+        "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
         " or np.any(hi > n):",
         ":",
     ),
     (
         "plain-kernel-without-the-token-count",
+        "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
         " or lo.size != declared or",
         " or",
     ),
     (
         "plain-kernel-without-the-edge-count",
+        "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
         "    if len(edges) != declared:\n        return None\n",
         "",
     ),
     (
         "random-graph-appends-reversed-pairs",
+        "tests/test_oracle.py::test_random_graph_equals_frozen_reference_on_criterion_3_configs",
         ORACLE,
         "edges.append((i, k - starts[i - 1] + i + 1))",
         "edges.append((k - starts[i - 1] + i + 1, i))",
     ),
     (
-        # killed by test_charpoly_equals_frozen_nested_sum_reference_on_criterion_6
         "charpoly-shifts-m-in-place",
+        "tests/test_oracle.py::test_charpoly_equals_frozen_nested_sum_reference_on_criterion_6",
         ORACLE,
         "    work = a.copy()\n",
         "    work = a\n",
     ),
     (
-        # killed by test_count_equals_frozen_reference_at_both_scales
         "count-sign-loop-without-its-flip",
+        "tests/test_oracle.py::test_count_equals_frozen_reference_at_both_scales",
         ORACLE,
         "            negative = not negative\n",
         "",
     ),
     (
-        # killed by test_seed_is_the_float_root_or_else_the_midpoint; an
-        # escaped seed also makes _refine raise OracleError
+        # an escaped seed also makes _refine raise OracleError
         "seed-without-its-bracket-check",
+        "tests/test_oracle.py::test_seed_is_the_float_root_or_else_the_midpoint",
         ORACLE,
         "    return round(x) if lo + 1 <= x <= hi - 1 else mid\n",
         "    return round(x)\n",
     ),
     (
-        # killed by test_refinement_refuses_a_first_point_outside_the_open_bracket
         "refine-without-its-first-point-check",
+        "tests/test_oracle.py::test_refinement_refuses_a_first_point_outside_the_open_bracket",
         ORACLE,
         "    if not lo < x < hi:\n        raise OracleError(",
         "    if False:\n        raise OracleError(",
     ),
     (
         "run-sweep-admits-any-mode",
+        "tests/test_cli.py::test_run_sweep_refuses_an_unknown_mode",
         CLI,
         "    if mode not in (\"exhaustive\", \"random\"):\n"
         "        raise ValueError(f\"mode must be 'exhaustive' or 'random', got {mode!r}\")\n",
@@ -255,8 +287,8 @@ MUTANTS = [
     ),
 ]
 
-# A mutant's suite run may take this many times the unmutated run before it
-# counts as hung, and so as killed.
+# A run on a mutant, of its named test or of the suite, may take this many
+# times the unmutated suite before it counts as hung, and so as failing.
 _SLOWDOWN_LIMIT = 5
 
 _IGNORED = shutil.ignore_patterns(
@@ -264,50 +296,73 @@ _IGNORED = shutil.ignore_patterns(
 )
 
 
-def _suite_passes(
-    old: str = "", new: str = "", path: str = "", timeout: float | None = None
-) -> bool:
-    """Copy the repository, replace ``old`` by ``new`` in ``path`` (nothing
-    when ``path`` is empty) and run the suite there. A run past ``timeout``
-    seconds counts as a failing suite: the mutant hung it."""
+def _copy(tmp: str, path: str = "", old: str = "", new: str = "") -> Path:
+    """Copy the repository into ``tmp`` and replace ``old`` by ``new`` in
+    ``path`` there (nothing when ``path`` is empty)."""
+    copy = Path(tmp) / "repo"
+    shutil.copytree(ROOT, copy, ignore=_IGNORED)
+    if path:
+        target = copy / path
+        target.write_text(target.read_text().replace(old, new))
+    return copy
+
+
+def _passes(copy: Path, test_ids: list[str], timeout: float | None = None) -> bool:
+    """Run ``pytest -x -q`` on ``test_ids`` (the whole suite when empty) in
+    ``copy``. A run past ``timeout`` seconds counts as failing: the mutant
+    hung it."""
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *test_ids],
+            cwd=copy,
+            env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    return result.returncode == 0
+
+
+def _verdict(row: tuple[str, str, str, str, str], timeout: float) -> str:
+    """``killed`` when the row's named test fails on its mutant; otherwise
+    ``stale killer`` when the suite still fails, ``survived`` when it passes."""
+    _, killer, path, old, new = row
     with tempfile.TemporaryDirectory(prefix="loopspec-mutant-") as tmp:
-        copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=_IGNORED)
-        if path:
-            target = copy / path
-            target.write_text(target.read_text().replace(old, new))
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-                cwd=copy,
-                env=dict(os.environ, PYTHONPATH=str(copy / "src")),
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired:
-            return False
-        return result.returncode == 0
+        copy = _copy(tmp, path, old, new)
+        if not _passes(copy, [killer], timeout):
+            return "killed"
+        return "stale killer" if not _passes(copy, [], timeout) else "survived"
 
 
 def main() -> int:
-    stale = [name for name, path, old, _ in MUTANTS if (ROOT / path).read_text().count(old) != 1]
+    start = time.monotonic()
+    stale = [row[0] for row in MUTANTS if (ROOT / row[2]).read_text().count(row[3]) != 1]
     if stale:
         print(f"old text does not occur exactly once: {stale}")
         return 1
-    start = time.monotonic()
-    if not _suite_passes():
-        print("the unmutated suite fails, so no mutant can be judged")
-        return 1
-    timeout = max(120.0, _SLOWDOWN_LIMIT * (time.monotonic() - start))
-    survivors = []
-    for name, path, old, new in MUTANTS:
-        killed = not _suite_passes(old, new, path, timeout)
-        print(f"{'killed' if killed else 'survived':<9}{name}", flush=True)
-        if not killed:
-            survivors.append(name)
-    print(f"{len(MUTANTS) - len(survivors)} killed, {len(survivors)} survived of {len(MUTANTS)}")
-    return 1 if survivors else 0
+    with tempfile.TemporaryDirectory(prefix="loopspec-mutant-") as tmp:
+        copy = _copy(tmp)
+        suite_start = time.monotonic()
+        if not _passes(copy, []):
+            print("the unmutated suite fails, so no mutant can be judged")
+            return 1
+        timeout = max(120.0, _SLOWDOWN_LIMIT * (time.monotonic() - suite_start))
+        # a named test that pytest cannot find would fail every run
+        if not _passes(copy, sorted({row[1] for row in MUTANTS})):
+            print("a named killer fails or does not exist on the unmutated copy")
+            return 1
+    killed = 0
+    for row in MUTANTS:
+        verdict = _verdict(row, timeout)
+        print(f"{verdict:<13}{row[0]}", flush=True)
+        killed += verdict == "killed"
+    print(
+        f"{killed} killed by their named test, {len(MUTANTS) - killed} not, of {len(MUTANTS)}"
+        f" in {time.monotonic() - start:.0f} s"
+    )
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

@@ -248,7 +248,7 @@ def test_criterion_5_lift_witnesses(monkeypatch):
     # The same graphs as criteria 2 and 3: run_sweep draws them, and the
     # pseudo-connected ones are verified here.
     drawn = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol: drawn.append(g))
+    monkeypatch.setattr(cli, "_verify_one", lambda g: drawn.append(g))
     run_sweep(mode="exhaustive", n_max=4)
     run_sweep(
         mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3

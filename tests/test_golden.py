@@ -79,3 +79,15 @@ def test_sweep_schema(capsys):
     code, doc = cli_json(capsys, "sweep", "--mode", "exhaustive", "--n-max", "2")
     assert code == 0
     assert_same_shape(doc, load_golden("sweep_exhaustive_n2.json"))
+
+
+@pytest.mark.parametrize("raw", ["banana", "1e-300"])
+def test_the_environment_does_not_steer_verify_or_sweep(worked_file, capsys, monkeypatch, raw):
+    # MATCH_TOL is a constant: neither a junk value nor a tiny one may change a report
+    monkeypatch.setenv("LOOPSPEC_TOL", raw)
+    code, doc = cli_json(capsys, "verify", worked_file)
+    assert code == 0
+    assert_same_shape(doc, load_golden("verify_worked.json"))
+    code, doc = cli_json(capsys, "sweep", "--mode", "exhaustive", "--n-max", "2")
+    assert code == 0
+    assert_same_shape(doc, load_golden("sweep_exhaustive_n2.json"))

@@ -159,7 +159,7 @@ def test_components_equal_frozen_bfs_on_all_small_graphs(n):
 
 def test_components_equal_frozen_bfs_on_criterion_3_graphs(monkeypatch):
     drawn = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol: drawn.append(g))
+    monkeypatch.setattr(cli, "_verify_one", lambda g: drawn.append(g))
     run_sweep(
         mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
     )
@@ -417,7 +417,7 @@ def test_parse_plain_equals_frozen_kernel_around_the_digit_cap():
 
 def test_parse_plain_equals_frozen_kernel_on_criterion_3_graphs(monkeypatch):
     drawn = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol: drawn.append(g))
+    monkeypatch.setattr(cli, "_verify_one", lambda g: drawn.append(g))
     run_sweep(
         mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
     )

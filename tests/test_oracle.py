@@ -133,7 +133,7 @@ def test_random_graph_equals_frozen_reference_on_criterion_3_configs(monkeypatch
         return drawn[-1][1]
 
     monkeypatch.setattr(cli, "random_graph", draw)
-    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol: None)
+    monkeypatch.setattr(cli, "_verify_one", lambda g: None)
     run_sweep(
         mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
     )
@@ -529,7 +529,7 @@ def test_oracle_agrees_with_solver_at_every_order_a_campaign_verifies(monkeypatc
     large-verify benchmark: the exact oracle shares no code with eigen_sym,
     so every graph a campaign verifies is also decided by a second route."""
     drawn = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g, match_tol: drawn.append(g))
+    monkeypatch.setattr(cli, "_verify_one", lambda g: drawn.append(g))
     run_sweep(
         mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
     )
