@@ -110,18 +110,17 @@ def _check_dense_order(source: str, order: int) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load(args.path)
     _check_dense_order(args.path, g.n)
-    lap, spectrum, components, pseudo = _solve_base(g)
-    bounds = _claims(g, spectrum.eigenvalues, components == 1, pseudo)
-    loopless = g.loop_count == 0
-    algebraic = float(spectrum.eigenvalues[1]) if loopless and g.n >= 2 else None
+    lap, spectrum, census = _solve_base(g)
+    bounds = _claims(g, spectrum.eigenvalues, census)
+    algebraic = float(spectrum.eigenvalues[1]) if census.loops == 0 and g.n >= 2 else None
 
     if args.format == "json":
         _print_json(
             {
                 "n": g.n,
-                "q": g.loop_count,
-                "components": components,
-                "pseudo_connected": pseudo,
+                "q": census.loops,
+                "components": census.count,
+                "pseudo_connected": census.pseudo_connected,
                 "laplacian": lap.tolist(),
                 "eigenvalues": [float(v) for v in spectrum.eigenvalues],
                 "algebraic_connectivity": algebraic,
@@ -131,9 +130,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return _EXIT_OK
 
     print(f"n: {g.n}")
-    print(f"loops: {g.loop_count}")
-    print(f"components: {components}")
-    print(f"pseudo-connected: {'yes' if pseudo else 'no'}")
+    print(f"loops: {census.loops}")
+    print(f"components: {census.count}")
+    print(f"pseudo-connected: {'yes' if census.pseudo_connected else 'no'}")
     print("laplacian:")
     print(format_matrix(lap))
     print("eigenvalues:", " ".join(_fmt(v) for v in spectrum.eigenvalues))

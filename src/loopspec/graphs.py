@@ -10,6 +10,11 @@ which canonicalises them and rejects duplicates. The generators in
 ``oracle`` and :func:`~loopspec.lifting.lift` build their pairs canonical and
 distinct, and construct ``Graph`` directly. ``Graph`` is slotted, so it takes
 no ad-hoc attributes, and graphs may share their immutable pair tuples.
+
+The graph facts the spectral claims rest on come from one traversal,
+:func:`_census`, one pass over the edges and one breadth-first search: the
+components, whether each holds a self-loop, d(G°) (the largest degree once
+loops are stripped) and the loop count q.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -101,24 +106,33 @@ def _add_pair(edges: set[Edge], n: int, i: int, j: int) -> None:
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from endpoint pairs in any orientation, rejecting duplicates.
-
-    This is the route for pairs that come from outside the program. The
-    generators build ``Graph`` directly from pairs that are canonical and
-    distinct by construction. ``Graph`` is slotted, so it takes no ad-hoc
-    attributes, and it may share its immutable pair tuples with other graphs.
-    """
+    """Build a graph from endpoint pairs in any orientation, rejecting
+    duplicates: the route for pairs that come from outside the program."""
     edges: set[Edge] = set()
     for i, j in pairs:
         _add_pair(edges, n, i, j)
     return Graph(n, frozenset(edges))
 
 
-def connected_components(g: Graph) -> ComponentPartition:
-    """Partition vertices by non-loop-edge reachability (BFS, labels by first visit)."""
+class _Census(NamedTuple):
+    """:func:`_census`'s reading; ``labels`` and ``count`` as in ComponentPartition."""
+
+    labels: tuple[int, ...]
+    count: int
+    pseudo_connected: bool
+    max_nonloop_degree: int
+    loops: int
+
+
+def _census(g: Graph) -> _Census:
+    """One pass over ``g.edges`` builds the adjacency lists and lists the
+    looped vertices; one BFS over the lists labels the components."""
     adj: list[list[int]] = [[] for _ in range(g.n + 1)]
+    looped: list[int] = []
     for i, j in g.edges:
-        if i != j:
+        if i == j:
+            looped.append(i)
+        else:
             adj[i].append(j)
             adj[j].append(i)
     labels = [0] * (g.n + 1)
@@ -134,38 +148,21 @@ def connected_components(g: Graph) -> ComponentPartition:
                 if not labels[w]:
                     labels[w] = count
                     queue.append(w)
-    return ComponentPartition(tuple(labels[1:]), count)
+    pseudo = len({labels[v] for v in looped}) == count
+    return _Census(tuple(labels[1:]), count, pseudo, max(map(len, adj)), len(looped))
+
+
+def connected_components(g: Graph) -> ComponentPartition:
+    """Partition vertices by non-loop-edge reachability (BFS, labels by first visit)."""
+    return ComponentPartition(*_census(g)[:2])
 
 
 def is_pseudo_connected(g: Graph) -> bool:
     """True iff every vertex has an incident edge (a loop counts) and every
-    connected component contains at least one vertex with a self-loop.
-
-    An isolated vertex is a loopless singleton component, so the
-    per-component loop rule also enforces the minimum-degree clause.
-    """
-    return _pseudo_connected(g, connected_components(g))
-
-
-def _pseudo_connected(g: Graph, parts: ComponentPartition) -> bool:
-    """:func:`is_pseudo_connected` given ``g``'s component partition, for
-    callers that already hold it."""
-    component_has_loop = [False] * (parts.count + 1)
-    for i, j in g.edges:
-        if i == j:
-            component_has_loop[parts.labels[i - 1]] = True
-    return all(component_has_loop[1:])
-
-
-def _max_nonloop_degree(g: Graph) -> int:
-    """d(G°): the maximum vertex degree of ``g`` with its self-loops stripped
-    (0 for a graph without non-loop edges)."""
-    deg = [0] * (g.n + 1)
-    for i, j in g.edges:
-        if i != j:
-            deg[i] += 1
-            deg[j] += 1
-    return max(deg)
+    connected component contains at least one vertex with a self-loop. An
+    isolated vertex is a loopless singleton component, so the per-component
+    loop rule also enforces the minimum-degree clause."""
+    return _census(g).pseudo_connected
 
 
 # Edge-list text format: header line "n m", then m lines "i j" (i == j for a

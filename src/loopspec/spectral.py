@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _max_nonloop_degree, _pseudo_connected, connected_components
+from .graphs import Graph, _Census, _census
 from .laplacian import laplacian_of
 from .lifting import lift
 
@@ -134,11 +134,16 @@ def degree_upper_bound(g: Graph) -> float:
     the maximum degree of the loop-stripped graph (for a loopless graph, its
     own maximum degree).
     """
-    return 2.0 * _max_nonloop_degree(g) + (1.0 if g.loop_count else 0.0)
+    return _degree_bound(_census(g))
+
+
+def _degree_bound(census: _Census) -> float:
+    """:func:`degree_upper_bound` from the graph's census."""
+    return 2.0 * census.max_nonloop_degree + (1.0 if census.loops else 0.0)
 
 
 def _claims(
-    g: Graph, eigenvalues: np.ndarray, connected: bool, pseudo: bool, lifted: tuple | None = None
+    g: Graph, eigenvalues: np.ndarray, census: _Census, lifted: tuple | None = None
 ) -> list[dict]:
     """Every claim that applies to ``g``, one row each in report order.
 
@@ -158,22 +163,24 @@ def _claims(
     * ``lift-eigvec`` -- every graph: mirroring each base eigenvector v as
       [v; 0; -v] leaves a lifted residual within the lifted tolerance.
 
-    ``eigenvalues`` are L(G)'s, ascending. A row holds id, margin (positive
-    = slack) and ``pass``; the closed-form rows (eq2, eq3/eq8) also kind
-    ("lower"/"upper"), bound and value, and pass within the base match
+    ``eigenvalues`` are L(G)'s, ascending, and ``census``, ``g``'s
+    :func:`~loopspec.graphs._census`, gives the components, loops and d(G°)
+    that decide applicability and the degree bound. A row holds id, margin
+    (positive = slack) and ``pass``; the closed-form rows (eq2, eq3/eq8) also
+    kind ("lower"/"upper"), bound and value, and pass within the base match
     tolerance. Without ``lifted``, ``verify_all``'s (tol_base, pos_base,
-    tol_lift, pos_lift, gap, worst_res), only they are returned, with no
+    tol_lift, pos_lift, gap, worst_res), they alone are returned, with no
     ``pass``.
     """
     rows: list[dict] = []
-    loopless = g.loop_count == 0
+    loopless, pseudo = census.loops == 0, census.pseudo_connected
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
-    if connected and loopless and g.n >= 2:
+    if census.count == 1 and loopless and g.n >= 2:
         bound, value = fiedler_lower_bound(g.n), float(eigenvalues[1])
         rows.append(
             {"id": "eq2", "kind": "lower", "bound": bound, "value": value, "margin": value - bound}
         )
-    bound, upper = degree_upper_bound(g), "eq3" if loopless else "eq8"
+    bound, upper = _degree_bound(census), "eq3" if loopless else "eq8"
     rows.append(
         {"id": upper, "kind": "upper", "bound": bound, "value": lam_max, "margin": bound - lam_max}
     )
@@ -345,14 +352,11 @@ def _lifted_top(lap_lift: np.ndarray, lap: np.ndarray) -> float:
         raise JacobiConvergenceError(f"eigvalsh did not converge ({exc})") from exc
 
 
-def _solve_base(g: Graph) -> tuple[np.ndarray, Spectrum, int, bool]:
-    """The stage ``analyze`` and ``verify_all`` share, of order N only:
-    L(G), its spectrum, the number of components and whether ``g`` is
-    pseudo-connected."""
+def _solve_base(g: Graph) -> tuple[np.ndarray, Spectrum, _Census]:
+    """The stage ``analyze`` and ``verify_all`` share, of order N only: L(G),
+    its spectrum and the census."""
     lap = laplacian_of(g)
-    spec = eigen_sym(lap)
-    parts = connected_components(g)
-    return lap, spec, parts.count, _pseudo_connected(g, parts)
+    return lap, eigen_sym(lap), _census(g)
 
 
 def verify_all(g: Graph) -> VerificationReport:
@@ -372,7 +376,7 @@ def verify_all(g: Graph) -> VerificationReport:
     (:func:`_lifted_top`). Solver non-convergence, of either solve,
     propagates as :class:`JacobiConvergenceError`.
     """
-    lap, spec, components, pseudo = _solve_base(g)
+    lap, spec, census = _solve_base(g)
     lap_lift = laplacian_of(lift(g).lifted)
     vectors = spec.eigenvectors
     res = lap @ vectors
@@ -393,13 +397,13 @@ def verify_all(g: Graph) -> VerificationReport:
     pos_base = POSITIVITY_TOL * max(1.0, rho_base)
     pos_lift = POSITIVITY_TOL * max(1.0, rho_lift)
     lifted = (tol_base, pos_base, tol_lift, pos_lift, gap, worst_res)
-    rows = _claims(g, spec.eigenvalues, components == 1, pseudo, lifted)
+    rows = _claims(g, spec.eigenvalues, census, lifted)
 
     return VerificationReport(
         n=g.n,
-        loop_count=g.loop_count,
-        components=components,
-        pseudo_connected=pseudo,
+        loop_count=census.loops,
+        components=census.count,
+        pseudo_connected=census.pseudo_connected,
         checks=tuple(CheckResult(r["id"], r["pass"], r["margin"]) for r in rows),
         tolerances={
             "solver_tol": SOLVER_TOL,

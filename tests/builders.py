@@ -146,6 +146,28 @@ def reference_connected_components(g: Graph) -> ComponentPartition:
     return ComponentPartition(tuple(labels), count)
 
 
+def reference_pseudo_connected(g: Graph, parts: ComponentPartition) -> bool:
+    """Frozen copy of ``graphs._pseudo_connected`` before the one traversal
+    took it over: a second walk over the edges marks each looped vertex's
+    component."""
+    component_has_loop = [False] * (parts.count + 1)
+    for i, j in g.edges:
+        if i == j:
+            component_has_loop[parts.labels[i - 1]] = True
+    return all(component_has_loop[1:])
+
+
+def reference_max_nonloop_degree(g: Graph) -> int:
+    """Frozen copy of ``graphs._max_nonloop_degree`` before the one traversal
+    took it over: d(G°), 0 for a graph without non-loop edges."""
+    deg = [0] * (g.n + 1)
+    for i, j in g.edges:
+        if i != j:
+            deg[i] += 1
+            deg[j] += 1
+    return max(deg)
+
+
 def reference_parse_edge_list(text: str) -> Graph:
     """Frozen copy of the line loop that was ``parse_edge_list`` before it
     tried a numpy kernel first: one pass over ``text.splitlines()``, the

@@ -100,6 +100,22 @@ MUTANTS = [
         "interval = bound + 2.0 if loopless else bound + 1.0",
     ),
     (
+        # a looped graph's interval gets the loopless + 1: 2 d(G°) + 2
+        "eq6-interval-plus-1-when-looped",
+        "tests/test_spectral.py::test_an_injected_fault_fails_its_checks[nonloop-degree-minus-1]",
+        SPECTRAL,
+        "interval = bound + 1.0 if loopless else bound",
+        "interval = bound + 1.0",
+    ),
+    (
+        # a loopless graph's interval loses its + 1: 2 d(G°)
+        "eq6-interval-without-the-loopless-plus-1",
+        "tests/test_spectral.py::test_an_injected_fault_fails_its_checks[nonloop-degree-minus-1]",
+        SPECTRAL,
+        "interval = bound + 1.0 if loopless else bound",
+        "interval = bound",
+    ),
+    (
         "lemma1-passes-a-zero-margin",
         "tests/test_spectral.py::test_lemma1_and_eq7_fail_at_a_zero_margin",
         SPECTRAL,
@@ -240,6 +256,28 @@ MUTANTS = [
         GRAPHS,
         "    if len(edges) != declared:\n        return None\n",
         "",
+    ),
+    (
+        # a loop's vertex lists itself as a neighbour, so d(G°) counts loops
+        "census-counts-loops-into-the-degree",
+        "tests/test_graphs.py::test_census_equals_the_frozen_helpers",
+        GRAPHS,
+        "            looped.append(i)\n",
+        "            looped.append(i)\n            adj[i].append(i)\n",
+    ),
+    (
+        "census-lets-one-loopless-component-through",
+        "tests/test_graphs.py::test_census_equals_the_frozen_helpers",
+        GRAPHS,
+        "len({labels[v] for v in looped}) == count",
+        "len({labels[v] for v in looped}) >= count - 1",
+    ),
+    (
+        "census-loop-count-off-by-one",
+        "tests/test_graphs.py::test_census_equals_the_frozen_helpers",
+        GRAPHS,
+        "len(looped))",
+        "len(looped) + 1)",
     ),
     (
         "random-graph-appends-reversed-pairs",

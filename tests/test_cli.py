@@ -221,7 +221,7 @@ def test_verify_prints_a_failed_certificate_as_null_margins(worked_file, capsys,
         assert checks[cid]["pass"], checks[cid]
 
 
-def test_loopspec_tol_env_failure_path(worked_file, capsys, monkeypatch):
+def test_tiny_match_tol_verify_failure_path(worked_file, capsys, monkeypatch):
     monkeypatch.setattr(spectral, "MATCH_TOL", 1e-300)
     code, out, _ = run_cli(capsys, "verify", worked_file)
     assert code == 1

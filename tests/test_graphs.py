@@ -24,16 +24,19 @@ from loopspec import (
     write_edge_list,
 )
 from loopspec.cli import run_sweep
-from loopspec.graphs import _parse_plain
+from loopspec.graphs import _census, _parse_plain
 from builders import (
     SWEEP_SEED,
+    campaign_graphs,
     degree,
     graphs,
     path_graph,
     reference_connected_components,
     reference_format_edge_list,
+    reference_max_nonloop_degree,
     reference_parse_edge_list,
     reference_parse_plain,
+    reference_pseudo_connected,
     with_all_loops,
 )
 
@@ -183,6 +186,24 @@ def test_components_equal_frozen_bfs_on_large_graphs():
         assert connected_components(g) == reference_connected_components(g)
     assert connected_components(sparse).count > 100
     assert connected_components(path).count == 1
+
+
+def test_census_equals_the_frozen_helpers():
+    # criteria 2 and 3, one graph of each order 22..30 (large-verify's
+    # orders; the odd ones pseudo-connected) and one of order 2000 with many
+    # components, looped and loopless
+    large = [
+        random_graph(GeneratorConfig(n, 0.1, 0.3, n, "pseudo_connected" if n % 2 else "none"))
+        for n in range(22, 31)
+    ]
+    large.append(random_graph(GeneratorConfig(2000, 0.0005, 0.05, seed=2000)))
+    for g in campaign_graphs() + tuple(large):
+        census = _census(g)
+        parts = reference_connected_components(g)
+        assert (census.labels, census.count) == (parts.labels, parts.count), g
+        assert census.pseudo_connected == reference_pseudo_connected(g, parts), g
+        assert census.max_nonloop_degree == reference_max_nonloop_degree(g), g
+        assert census.loops == g.loop_count, g
 
 
 def test_pseudo_connected_needs_a_loop_per_component():

@@ -17,20 +17,19 @@ from loopspec import (
     MATCH_TOL,
     SOLVER_TOL,
     Spectrum,
-    connected_components,
     degree_upper_bound,
     eigen_sym,
     enumerate_graphs,
     fiedler_lower_bound,
     graph_from_edges,
-    is_pseudo_connected,
     laplacian_of,
     lift,
     random_graph,
     spectrum_subset,
     verify_all,
 )
-from loopspec.graphs import _max_nonloop_degree
+from loopspec.graphs import _census
+from loopspec.spectral import _degree_bound
 from builders import (
     campaign_graphs,
     complete_graph,
@@ -44,6 +43,7 @@ from builders import (
     reference_jacobi,
     reference_lifted_residual,
     reference_lifted_top,
+    reference_max_nonloop_degree,
     reference_mirror_certificate,
     residual,
     symmetric_block,
@@ -283,9 +283,8 @@ def test_even_cycle_attains_degree_bound():
 @given(graphs())
 def test_bound_rows_are_the_bound_checks_of_the_report(g):
     # the rows analyze prints: the claims without the lifted inputs
-    connected = connected_components(g).count == 1
     eigenvalues = eigen_sym(laplacian_of(g)).eigenvalues
-    rows = spectral._claims(g, eigenvalues, connected, is_pseudo_connected(g))
+    rows = spectral._claims(g, eigenvalues, _census(g))
     checks = [c for c in verify_all(g).checks if c.id in ("eq2", "eq3", "eq8")]
     assert [(r["id"], r["margin"]) for r in rows] == [(c.id, c.margin) for c in checks]
     for r in rows:
@@ -547,7 +546,7 @@ def _assert_lifted_margins_match_the_mirror_basis(g):
     report = verify_all(g)
     tol = report.tolerances["match_tol_scaled_lifted"]
     lam_min, lam_max = spec.eigenvalues[0], spec.eigenvalues[-1]
-    interval = 2.0 * spectral._max_nonloop_degree(g) + 1.0 + tol - lam_max
+    interval = 2.0 * reference_max_nonloop_degree(g) + 1.0 + tol - lam_max
     expected = {
         "eq6": min(tol - gap, interval),
         "eq7": lam_min - gap - report.tolerances["positivity_threshold_lifted"],
@@ -795,29 +794,51 @@ def _pseudo_connected_8():
     return random_graph(GeneratorConfig(8, 0.4, 0.3, seed=11, require="pseudo_connected"))
 
 
+def _nonloop_degree_minus_1(g):
+    census = _census(g)
+    return census._replace(max_nonloop_degree=census.max_nonloop_degree - 1)
+
+
+# lambda_max of the looped cherry {(1, 1), (1, 2), (1, 3)} is 2 + sqrt3; with
+# d(G°) one short, eq8's bound and eq6's looped interval are both 3
+_CHERRY_MISS = 3.0 - (2.0 + math.sqrt(3.0))
+
+
 @pytest.mark.parametrize(
     "name, fault, cases",
     [
         (
             "fiedler_lower_bound",
             lambda n: fiedler_lower_bound(n - 1),
-            lambda: [(path_graph(n), {"eq2"}) for n in (3, 5, 12)],
+            lambda: [(path_graph(n), {"eq2": "fail"}) for n in (3, 5, 12)],
         ),
         (
-            "degree_upper_bound",
-            lambda g: degree_upper_bound(g) - 1,
-            lambda: [(cycle_graph(4), {"eq3"}), (graph_from_edges(1, [(1, 1)]), {"eq8"})],
+            "_degree_bound",
+            lambda census: _degree_bound(census) - 1,
+            lambda: [
+                (cycle_graph(4), {"eq3": "fail"}),
+                (graph_from_edges(1, [(1, 1)]), {"eq8": "fail"}),
+            ],
         ),
         (
             "laplacian_of",
             _laplacian_dropping_loops,
-            lambda: [(_pseudo_connected_8(), {"lemma1", "eq7"})],
+            lambda: [(_pseudo_connected_8(), {"lemma1": "fail", "eq7": "fail"})],
         ),
         (
-            # eq6's interval 2 d(G°) + 1 then sits 1 below lambda_max = 4
-            "_max_nonloop_degree",
-            lambda g: _max_nonloop_degree(g) - 1,
-            lambda: [(cycle_graph(4), {"eq3", "eq6"})],
+            "_census",
+            _nonloop_degree_minus_1,
+            lambda: [
+                # eq6's interval 2 d(G°) + 1 then sits 1 below lambda_max = 4
+                (cycle_graph(4), {"eq3": "fail", "eq6": "fail"}),
+                # the loopless interval 2 d(G°) + 1 = 3 still holds lambda_max = 3
+                (graph_from_edges(3, [(1, 2), (1, 3)]), {"eq3": "fail", "eq6": "pass"}),
+                # the looped interval is eq8's bound, with no + 1
+                (
+                    graph_from_edges(3, [(1, 1), (1, 2), (1, 3)]),
+                    {"eq8": _CHERRY_MISS, "eq6": _CHERRY_MISS},
+                ),
+            ],
         ),
     ],
     ids=[
@@ -828,13 +849,20 @@ def _pseudo_connected_8():
     ],
 )
 def test_an_injected_fault_fails_its_checks(monkeypatch, name, fault, cases):
-    # Each case is the tightness witness that kills one plausible bug; the
-    # bound checks the bug does not touch must still pass.
+    # Each case is the tightness witness that kills one plausible bug. It
+    # maps check ids to "pass", "fail" (a negative margin) or the margin of
+    # a pinned failure; the bound checks it leaves out must still pass.
     monkeypatch.setattr(spectral, name, fault)
-    for g, targeted in cases():
+    for g, expected in cases():
         checks = {c.id: c for c in verify_all(g).checks}
-        assert targeted <= set(checks), (g, sorted(checks))
-        for cid in targeted:
-            assert not checks[cid].passed and checks[cid].margin < 0.0, (g, checks[cid])
-        for cid in {"eq2", "eq3", "eq8"} & set(checks) - targeted:
+        assert expected.keys() <= checks.keys(), (g, sorted(checks))
+        for cid, outcome in expected.items():
+            check = checks[cid]
+            if outcome == "pass":
+                assert check.passed, (g, check)
+                continue
+            assert not check.passed and check.margin < 0.0, (g, check)
+            if outcome != "fail":
+                assert check.margin == pytest.approx(outcome, abs=1e-6), (g, check)
+        for cid in {"eq2", "eq3", "eq8"} & checks.keys() - expected.keys():
             assert checks[cid].passed, (g, checks[cid])
