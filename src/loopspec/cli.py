@@ -195,21 +195,27 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _verify_one(g: Graph) -> dict | None:
-    """Verify ``g``; None if it passes, else its failure fields, to which
-    :func:`run_sweep` prepends the witness. A solver that does not converge
-    fails this graph only, so the campaign goes on."""
-    try:
-        report = verify_all(g)
-    except JacobiConvergenceError as exc:
-        return {"error": str(exc)}
-    if report.passed:
-        return None
-    failed = report.failed_checks()
-    return {
-        "failed_checks": [c.id for c in failed],
-        "margins": {c.id: c.margin for c in failed},
-    }
+def _campaign(mode, n_max, samples, seed, n_min, p_edge, p_loop):
+    """Yield ``(graph, witness)`` for every graph of a sweep, in sweep order.
+
+    ``witness`` is a zero-argument callable that returns the fields which
+    reproduce the graph: ``{"n", "index"}`` or ``{"sample", "config"}``. It
+    is called for a failing graph only, so a passing one never serialises
+    its config. Random mode draws every child seed, then every size, from
+    ``default_rng(seed)`` before the first graph."""
+    if mode == "exhaustive":
+        for n in range(1, n_max + 1):
+            for index, g in enumerate(enumerate_graphs(n)):
+                yield g, lambda n=n, index=index: {"n": n, "index": index}
+        return
+    root = np.random.default_rng(seed)
+    child_seeds = root.integers(0, 2**63, size=samples, dtype=np.uint64)
+    sizes = root.integers(n_min, n_max + 1, size=samples)
+    for i in range(samples):
+        cfg = GeneratorConfig(
+            n=int(sizes[i]), p_edge=p_edge, p_loop=p_loop, seed=int(child_seeds[i])
+        )
+        yield random_graph(cfg), lambda i=i, cfg=cfg: {"sample": i, "config": cfg.to_json_dict()}
 
 
 def run_sweep(
@@ -226,7 +232,8 @@ def run_sweep(
     Exhaustive mode checks every graph on 1..n_max vertices. Random mode
     draws ``samples`` graphs with n uniform in [n_min, n_max]; per-sample
     seeds are derived from ``seed`` up front, so any failure is reproducible
-    from its record alone without replaying the whole sweep.
+    from its record alone without replaying the whole sweep. :func:`_campaign`
+    yields the graphs and their witnesses in this order.
 
     A graph whose eigensolve does not converge is recorded as a failure with
     an ``error`` message instead of aborting the sweep. Raises ``ValueError``
@@ -251,26 +258,17 @@ def run_sweep(
         # GeneratorConfig's own probability checks, before anything is drawn
         GeneratorConfig(n=n_max, p_edge=p_edge, p_loop=p_loop, seed=0)
     total, failures = 0, []
-    if mode == "exhaustive":
-        for n in range(1, n_max + 1):
-            for index, g in enumerate(enumerate_graphs(n)):
-                total += 1
-                if (failure := _verify_one(g)) is not None:
-                    failures.append({"n": n, "index": index, **failure})
-    else:
-        root = np.random.default_rng(seed)
-        child_seeds = root.integers(0, 2**63, size=samples, dtype=np.uint64)
-        sizes = root.integers(n_min, n_max + 1, size=samples)
-        for i in range(samples):
-            cfg = GeneratorConfig(
-                n=int(sizes[i]),
-                p_edge=p_edge,
-                p_loop=p_loop,
-                seed=int(child_seeds[i]),
-            )
-            total += 1
-            if (failure := _verify_one(random_graph(cfg))) is not None:
-                failures.append({"sample": i, "config": cfg.to_json_dict(), **failure})
+    for g, witness in _campaign(mode, n_max, samples, seed, n_min, p_edge, p_loop):
+        total += 1
+        try:
+            report = verify_all(g)
+        except JacobiConvergenceError as exc:  # fails this graph only
+            failures.append({**witness(), "error": str(exc)})
+            continue
+        if not report.passed:
+            failed = report.failed_checks()
+            ids, margins = [c.id for c in failed], {c.id: c.margin for c in failed}
+            failures.append({**witness(), "failed_checks": ids, "margins": margins})
     return SweepResult(mode, total, total - len(failures), tuple(failures))
 
 

@@ -56,7 +56,7 @@ POSITIVITY_TOL = 1e-8   # positive-definiteness threshold, scaled by max(1, rho)
 class JacobiConvergenceError(RuntimeError):
     """The eigensolver did not converge. The name dates from the Jacobi
     solver and is kept for the callers that catch it: ``cli.main``,
-    ``cli._verify_one`` and ``perfbench/run.py``, which counts it as a
+    ``cli.run_sweep`` and ``perfbench/run.py``, which counts it as a
     program error."""
 
 

@@ -9,7 +9,6 @@ import math
 from collections import deque
 
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 
 from loopspec import (
@@ -63,15 +62,29 @@ def with_all_loops(g: Graph) -> Graph:
 def campaign_graphs() -> tuple[Graph, ...]:
     """Criterion 2's 1098 graphs and criterion 3's 1000, as ``run_sweep``
     draws them."""
-    drawn = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_verify_one", lambda g: drawn.append(g))
-        cli.run_sweep(mode="exhaustive", n_max=4)
-        cli.run_sweep(
-            mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
-        )
+    campaigns = itertools.chain(
+        cli._campaign("exhaustive", n_max=4, samples=0, seed=0, n_min=2, p_edge=0.4, p_loop=0.3),
+        cli._campaign(
+            "random", n_max=12, samples=1000, seed=SWEEP_SEED, n_min=2, p_edge=0.4, p_loop=0.3
+        ),
+    )
+    drawn = tuple(g for g, _ in campaigns)
     assert len(drawn) == 1098 + 1000
-    return tuple(drawn)
+    return drawn
+
+
+def reference_campaign_configs(
+    seed: int, samples: int, n_min: int, n_max: int, p_edge: float, p_loop: float
+) -> list[oracle.GeneratorConfig]:
+    """Frozen seed stream of a random campaign, one config per sample: every
+    child seed, then every size, drawn from ``default_rng(seed)``."""
+    root = np.random.default_rng(seed)
+    child_seeds = root.integers(0, 2**63, size=samples, dtype=np.uint64).tolist()
+    sizes = root.integers(n_min, n_max + 1, size=samples).tolist()
+    return [
+        oracle.GeneratorConfig(n=n, p_edge=p_edge, p_loop=p_loop, seed=s)
+        for s, n in zip(child_seeds, sizes)
+    ]
 
 
 def incidence_matrix(g: Graph, dtype=np.int64) -> np.ndarray:

@@ -33,6 +33,7 @@ GRAPHS = "src/loopspec/graphs.py"
 CLI = "src/loopspec/cli.py"
 LAPLACIAN = "src/loopspec/laplacian.py"
 ORACLE = "src/loopspec/oracle.py"
+LIFTING = "src/loopspec/lifting.py"
 
 # (name, id of the test that must kill it, file, exact old text, new text)
 MUTANTS = [
@@ -114,6 +115,27 @@ MUTANTS = [
         SPECTRAL,
         "interval = bound + 1.0 if loopless else bound",
         "interval = bound",
+    ),
+    (
+        "degree-bound-plus-1-without-loops",
+        "tests/test_acceptance.py::test_criterion_5_bound_tightness_witnesses",
+        SPECTRAL,
+        "2.0 * census.max_nonloop_degree + (1.0 if census.loops else 0.0)",
+        "2.0 * census.max_nonloop_degree + 1.0",
+    ),
+    (
+        "fiedler-bound-over-n-plus-1",
+        "tests/test_acceptance.py::test_criterion_5_bound_tightness_witnesses",
+        SPECTRAL,
+        "math.cos(math.pi / n)",
+        "math.cos(math.pi / (n + 1))",
+    ),
+    (
+        "eq2-applies-from-n-3",
+        "tests/test_spectral.py::test_report_ids_follow_the_oracles_on_the_campaigns",
+        SPECTRAL,
+        "loopless and g.n >= 2:",
+        "loopless and g.n >= 3:",
     ),
     (
         "lemma1-passes-a-zero-margin",
@@ -316,12 +338,44 @@ MUTANTS = [
         "    if False:\n        raise OracleError(",
     ),
     (
+        "lift-drops-vertex-1s-second-spoke",
+        "tests/test_acceptance.py::test_criterion_1_worked_example",
+        LIFTING,
+        "edges += [(i, middle), (middle, i + middle)]",
+        "edges += [(i, middle)] if i == 1 else [(i, middle), (middle, i + middle)]",
+    ),
+    (
         "run-sweep-admits-any-mode",
         "tests/test_cli.py::test_run_sweep_refuses_an_unknown_mode",
         CLI,
         "    if mode not in (\"exhaustive\", \"random\"):\n"
         "        raise ValueError(f\"mode must be 'exhaustive' or 'random', got {mode!r}\")\n",
         "",
+    ),
+    (
+        # a random campaign's graphs, and every record's config, would change
+        "campaign-draws-sizes-before-child-seeds",
+        "tests/test_cli.py::test_random_campaign_draws_child_seeds_then_sizes",
+        CLI,
+        "    child_seeds = root.integers(0, 2**63, size=samples, dtype=np.uint64)\n"
+        "    sizes = root.integers(n_min, n_max + 1, size=samples)\n",
+        "    sizes = root.integers(n_min, n_max + 1, size=samples)\n"
+        "    child_seeds = root.integers(0, 2**63, size=samples, dtype=np.uint64)\n",
+    ),
+    (
+        # the same record, but every passing graph serialises its config
+        "campaign-builds-every-witness",
+        "tests/test_cli.py::test_passing_random_sweep_builds_no_witness",
+        CLI,
+        'lambda i=i, cfg=cfg: {"sample": i, "config": cfg.to_json_dict()}',
+        'functools.partial(dict, sample=i, config=cfg.to_json_dict())',
+    ),
+    (
+        "sweep-error-record-without-its-witness",
+        "tests/test_cli.py::test_sweep_records_solver_errors_and_goes_on",
+        CLI,
+        'failures.append({**witness(), "error": str(exc)})',
+        'failures.append({"error": str(exc)})',
     ),
 ]
 

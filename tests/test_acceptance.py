@@ -19,7 +19,6 @@ import time
 
 import numpy as np
 
-import loopspec.cli as cli
 import loopspec.spectral as spectral
 from loopspec import (
     GeneratorConfig,
@@ -39,6 +38,7 @@ from loopspec import (
 from loopspec.cli import run_sweep
 from builders import (
     SWEEP_SEED,
+    campaign_graphs,
     cycle_graph,
     degree,
     degree_adjacency,
@@ -225,7 +225,7 @@ def test_criterion_5_bound_tightness_witnesses():
     ), (path_gaps, top, k1_top)
 
 
-def test_criterion_5_lift_witnesses(monkeypatch):
+def test_criterion_5_lift_witnesses():
     """A corollary of the paper's lift, not a result the paper states: a
     pseudo-connected G lifts to a connected loopless graph on 2N+1 vertices
     whose zero eigenvalue (the constant vector) lies in the lift's symmetric
@@ -245,14 +245,9 @@ def test_criterion_5_lift_witnesses(monkeypatch):
     path_ok = max(abs(d) for d in path_gaps) <= 1e-12
     eq7_ok = -1e-10 <= min(eq7_gaps) and max(eq7_gaps) <= 1e-12
 
-    # The same graphs as criteria 2 and 3: run_sweep draws them, and the
+    # The same graphs as criteria 2 and 3, as run_sweep draws them; the
     # pseudo-connected ones are verified here.
-    drawn = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g: drawn.append(g))
-    run_sweep(mode="exhaustive", n_max=4)
-    run_sweep(
-        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
-    )
+    drawn = campaign_graphs()
     slack = math.inf
     pseudo = [g for g in drawn if is_pseudo_connected(g)]
     for g in pseudo:

@@ -25,7 +25,7 @@ from loopspec import (
 import loopspec.spectral as spectral
 from loopspec.cli import main, run_sweep
 from loopspec.oracle import MAX_ENUM_VERTICES
-from builders import misrouted_spoke
+from builders import SWEEP_SEED, misrouted_spoke, reference_campaign_configs
 
 WORKED = "2 2\n1 1\n1 2\n"
 
@@ -348,6 +348,19 @@ def test_passing_random_sweep_builds_no_witness(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "seed, samples, n_min, n_max, p_edge, p_loop",
+    [(SWEEP_SEED, 1000, 2, 12, 0.4, 0.3), (7, 60, 5, 9, 0.2, 0.6)],
+)
+def test_random_campaign_draws_child_seeds_then_sizes(seed, samples, n_min, n_max, p_edge, p_loop):
+    # criterion 3's graphs, and the graph each documented --seed names,
+    # follow from this order of draws
+    campaign = cli._campaign("random", n_max, samples, seed, n_min, p_edge, p_loop)
+    witnesses = [witness() for _, witness in campaign]
+    configs = reference_campaign_configs(seed, samples, n_min, n_max, p_edge, p_loop)
+    assert witnesses == [{"sample": i, "config": c.to_json_dict()} for i, c in enumerate(configs)]
+
+
 def _expected_failure(witness: dict, g) -> dict:
     failed = verify_all(g).failed_checks()
     return {
@@ -402,8 +415,10 @@ def test_sweep_random_small(capsys):
 
 
 def test_sweep_bad_range(capsys, monkeypatch):
-    verified = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g: verified.append(g))
+    def fail(*args, **kwargs):
+        raise AssertionError("verified a graph before checking the range")
+
+    monkeypatch.setattr(cli, "verify_all", fail)
     for args, named in [
         (("--mode", "random", "--n-max", "3", "--n-min", "9"), "n-min"),
         (("--mode", "random", "--n-max", "3", "--n-min", "-2", "--samples", "5"), "n-min"),
@@ -417,7 +432,6 @@ def test_sweep_bad_range(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "sweep", *args)
         assert code == 2, args
         assert named in err, (args, err)
-    assert verified == []
 
 
 def test_exhaustive_sweep_ignores_n_min(capsys):

@@ -22,11 +22,11 @@ from loopspec import (
     random_graph,
 )
 from loopspec.graphs import connected_components
-from loopspec.cli import run_sweep
 from loopspec.oracle import RETRY_CAP, _meets
 import builders
 from builders import (
     SWEEP_SEED,
+    campaign_graphs,
     complete_graph,
     cycle_graph,
     reference_charpoly,
@@ -125,20 +125,15 @@ def test_seeded_graphs_match_the_list_based_generator():
     assert max(attempts) > 1  # the rejection retries draw the same stream
 
 
-def test_random_graph_equals_frozen_reference_on_criterion_3_configs(monkeypatch):
-    drawn = []
-
-    def draw(cfg):
-        drawn.append((cfg, random_graph(cfg)))
-        return drawn[-1][1]
-
-    monkeypatch.setattr(cli, "random_graph", draw)
-    monkeypatch.setattr(cli, "_verify_one", lambda g: None)
-    run_sweep(
-        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
+def test_random_graph_equals_frozen_reference_on_criterion_3_configs():
+    drawn = list(
+        cli._campaign(
+            "random", n_max=12, samples=1000, seed=SWEEP_SEED, n_min=2, p_edge=0.4, p_loop=0.3
+        )
     )
     assert len(drawn) == 1000
-    for cfg, g in drawn:
+    for g, witness in drawn:
+        cfg = GeneratorConfig(**witness()["config"])
         assert g == reference_random_graph(cfg), cfg
 
 
@@ -523,17 +518,12 @@ def test_oracle_agrees_with_solver_on_all_tiny_graphs():
             assert max(abs(a - b) for a, b in zip(solved, oracle)) <= 1e-8
 
 
-def test_oracle_agrees_with_solver_at_every_order_a_campaign_verifies(monkeypatch):
-    """Criterion 3's 1000 graphs (n = 2..12), drawn by run_sweep as criterion
-    5 draws them, and one graph of each order 22..30, the orders of the
-    large-verify benchmark: the exact oracle shares no code with eigen_sym,
-    so every graph a campaign verifies is also decided by a second route."""
-    drawn = []
-    monkeypatch.setattr(cli, "_verify_one", lambda g: drawn.append(g))
-    run_sweep(
-        mode="random", n_max=12, n_min=2, samples=1000, seed=SWEEP_SEED, p_edge=0.4, p_loop=0.3
-    )
-    assert len(drawn) == 1000
+def test_oracle_agrees_with_solver_at_every_order_a_campaign_verifies():
+    """Criterion 3's 1000 graphs (n = 2..12), as run_sweep draws them, and
+    one graph of each order 22..30, the orders of the large-verify
+    benchmark: the exact oracle shares no code with eigen_sym, so every
+    graph a campaign verifies is also decided by a second route."""
+    drawn = list(campaign_graphs()[1098:])
     drawn += [random_graph(GeneratorConfig(n, 0.4, 0.3, SWEEP_SEED + n)) for n in range(22, 31)]
     for g in drawn:
         lap = laplacian_of(g)
