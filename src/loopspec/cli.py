@@ -6,8 +6,9 @@ verify (run all spectral checks), generate (seeded random graph), sweep
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 usage,
 I/O, allocation or computation error, or a dense order above
-MAX_DENSE_ORDER. Floats are printed with 9
-significant digits so output is stable across platforms.
+MAX_DENSE_ORDER. JSON output comes from one writer, _json_text: strict JSON
+indented by two spaces, every float rounded to 9 significant digits so
+output is stable across platforms, and null for a non-finite float.
 """
 
 from __future__ import annotations
@@ -74,20 +75,34 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _round9(obj):
-    """Recursively round floats to 9 significant digits for stable JSON;
-    a non-finite float, which strict JSON cannot carry, becomes None."""
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's own string escaper
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """What ``json.dumps(obj, indent=2)`` writes once floats are rounded to 9
+    significant digits and non-finite ones made None, nested at ``indent`` (a
+    newline and spaces). Other types and non-str keys raise ``TypeError``."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, float):
-        return float(_fmt(obj)) if math.isfinite(obj) else None
+        # _fmt inlined: a printed report spends most of its time here
+        return repr(float(format(obj, ".9g"))) if math.isfinite(obj) else "null"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round9(v) for k, v in obj.items()}
+        items = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        return [_round9(v) for v in obj]
-    return obj
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(_round9(payload), indent=2, allow_nan=False))
+    print(_json_text(payload))
 
 
 def _load(path: str) -> Graph:

@@ -87,6 +87,20 @@ def reference_campaign_configs(
     ]
 
 
+def reference_round9(obj):
+    """Frozen copy of the CLI's payload rounding before its JSON writer:
+    every float rounded to 9 significant digits, a non-finite one made None
+    and every tuple a list, for ``json.dumps(..., indent=2, allow_nan=False)``
+    to print."""
+    if isinstance(obj, float):
+        return float(format(float(obj), ".9g")) if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: reference_round9(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_round9(v) for v in obj]
+    return obj
+
+
 def incidence_matrix(g: Graph, dtype=np.int64) -> np.ndarray:
     """Edge-by-vertex signed incidence matrix E, one row per canonical edge.
 

@@ -377,6 +377,107 @@ MUTANTS = [
         'failures.append({**witness(), "error": str(exc)})',
         'failures.append({"error": str(exc)})',
     ),
+    (
+        # int's test before the bools': true and false print as 1 and 0
+        "json-writer-tests-int-before-bool",
+        "tests/test_cli.py::test_json_text_equals_json_dumps_of_the_frozen_rounding",
+        CLI,
+        "    if obj is None or obj is True or obj is False:\n",
+        "    if isinstance(obj, int):\n"
+        "        return int.__repr__(obj)\n"
+        "    if obj is None or obj is True or obj is False:\n",
+    ),
+    (
+        # -inf prints as -inf, which no JSON parser reads
+        "json-writer-prints-non-finite-floats-by-repr",
+        "tests/test_cli.py::test_verify_prints_a_failed_certificate_as_null_margins",
+        CLI,
+        'repr(float(format(obj, ".9g"))) if math.isfinite(obj) else "null"',
+        'repr(float(format(obj, ".9g")))',
+    ),
+    (
+        "json-writer-skips-the-9-digit-rounding",
+        "tests/test_cli.py::test_json_text_equals_json_dumps_of_the_frozen_rounding",
+        CLI,
+        'repr(float(format(obj, ".9g")))',
+        "repr(float(obj))",
+    ),
+    (
+        "json-writer-closes-a-list-at-the-inner-indent",
+        "tests/test_cli.py::test_json_text_equals_json_dumps_of_the_frozen_rounding",
+        CLI,
+        '+ indent + "]"',
+        '+ inner + "]"',
+    ),
+    (
+        "eigen-sym-without-its-square-guard",
+        "tests/test_spectral.py::test_input_validation",
+        SPECTRAL,
+        "    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:\n"
+        '        raise ValueError(f"expected a square matrix, got shape {raw.shape}")\n',
+        "",
+    ),
+    (
+        "eigen-sym-without-its-complex-guard",
+        "tests/test_spectral.py::test_input_validation",
+        SPECTRAL,
+        "    if np.iscomplexobj(raw):",
+        "    if False:",
+    ),
+    (
+        "eigen-sym-without-its-non-finite-guard",
+        "tests/test_spectral.py::test_input_validation",
+        SPECTRAL,
+        "    if not math.isfinite(fro):",
+        "    if False:",
+    ),
+    (
+        "eigen-sym-without-its-symmetry-guard",
+        "tests/test_spectral.py::test_input_validation",
+        SPECTRAL,
+        "    if not (raw == raw.T).all():",
+        "    if False:",
+    ),
+    (
+        # 10**400 as an object entry escapes as OverflowError, not ValueError
+        "eigen-sym-lets-an-overflowing-cast-escape",
+        "tests/test_spectral.py::test_input_validation",
+        SPECTRAL,
+        "    except (OverflowError, TypeError) as exc:",
+        "    except TypeError as exc:",
+    ),
+    (
+        "run-sweep-without-its-n-min-guard",
+        "tests/test_cli.py::test_sweep_bad_range",
+        CLI,
+        "        if not 1 <= n_min <= n_max:\n"
+        '            raise ValueError(f"n-min must lie in 1..n-max {n_max}, got {n_min}")\n',
+        "",
+    ),
+    (
+        "run-sweep-without-its-samples-guard",
+        "tests/test_cli.py::test_sweep_bad_range",
+        CLI,
+        "        if samples < 0:\n"
+        '            raise ValueError(f"samples must not be negative, got {samples}")\n',
+        "",
+    ),
+    (
+        # a zero-sample sweep would then accept any probability
+        "run-sweep-without-its-probability-guard",
+        "tests/test_cli.py::test_sweep_bad_range",
+        CLI,
+        "        GeneratorConfig(n=n_max, p_edge=p_edge, p_loop=p_loop, seed=0)\n",
+        "",
+    ),
+    (
+        # an exhaustive n-max of 0 or below would sweep no graph and pass
+        "run-sweep-admits-an-empty-exhaustive-range",
+        "tests/test_cli.py::test_sweep_bad_range",
+        CLI,
+        'mode == "exhaustive" and not 1 <= n_max <= MAX_ENUM_VERTICES',
+        'mode == "exhaustive" and not n_max <= MAX_ENUM_VERTICES',
+    ),
 ]
 
 # A run on a mutant, of its named test or of the suite, may take this many

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,7 +26,12 @@ from loopspec import (
 import loopspec.spectral as spectral
 from loopspec.cli import main, run_sweep
 from loopspec.oracle import MAX_ENUM_VERTICES
-from builders import SWEEP_SEED, misrouted_spoke, reference_campaign_configs
+from builders import (
+    SWEEP_SEED,
+    misrouted_spoke,
+    reference_campaign_configs,
+    reference_round9,
+)
 
 WORKED = "2 2\n1 1\n1 2\n"
 
@@ -578,3 +584,120 @@ def test_arbitrary_input_exits_cleanly_with_strict_json(text, tol):
             assert code in (0, 1, 2), (argv, code)
             if code != 2:
                 json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# Floats near the cut the writer makes (9 significant digits) and near the
+# one repr makes (exponent form from 1e16 on), with every special value.
+_EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+    1e16, -1e16, 9999999999999998.0, 1e16 + 2.0, 1e20, 1234567890.0, 999999999.5,
+    123456789.0, 0.1, 1 / 3, 0.30000000000000004, 1.7976931348623157e308,
+]
+
+
+def _digits(k: int) -> st.SearchStrategy:
+    """Floats with ``k`` significant digits at decimal exponents -30..30."""
+    mantissa = st.integers(10 ** (k - 1), 10**k - 1)
+    return st.builds(lambda m, e, s: s * float(f"{m}e{e}"), mantissa, st.integers(-30, 30),
+                     st.sampled_from([1, -1]))
+
+
+json_leaves = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    _digits(9),
+    _digits(17),
+    st.floats(min_value=9.9e15, max_value=1.01e16),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+)
+json_payloads = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_payloads)
+def test_json_text_equals_json_dumps_of_the_frozen_rounding(payload):
+    want = json.dumps(reference_round9(payload), indent=2, allow_nan=False)
+    assert cli._json_text(payload) == want
+
+
+_UNWRITABLE = {
+    "set": {1, 2},
+    "frozenset": frozenset(),
+    "numpy-int64": np.int64(3),
+    "numpy-float32": np.float32(0.5),
+    "numpy-bool": np.bool_(True),
+    "complex": 1j,
+    "bytes": b"x",
+    "object-in-a-list": [object()],
+    "int-key": {1: "a"},
+    "none-key": {None: "a"},
+    "float-key": {1.5: "a"},
+    "bool-key": {True: "a"},
+    "tuple-key": {("a",): "a"},
+    "bytes-key": {b"a": "a"},
+}
+
+
+@pytest.mark.parametrize("bad", _UNWRITABLE.values(), ids=_UNWRITABLE.keys())
+def test_json_text_refuses_what_strict_json_cannot_carry(bad):
+    # json.dumps would write int, float, bool and None keys as strings; no
+    # payload has one, so the writer refuses them with every other type
+    with pytest.raises(TypeError):
+        cli._json_text({"payload": bad})
+
+
+def _assert_json_dumps_layout(out: str) -> None:
+    """``out`` is strict JSON, laid out as ``json.dumps(..., indent=2)`` and
+    ``print`` lay out what it parses to."""
+    assert out == json.dumps(json.loads(out, parse_constant=_reject_constant), indent=2) + "\n"
+
+
+def test_every_json_command_prints_the_layout_of_json_dumps(
+    worked_file, tmp_path, capsys, monkeypatch
+):
+    """The printed layout, pinned apart from the writer that makes it."""
+    generated = str(tmp_path / "g.el")
+    passing = [
+        ["analyze", worked_file, "--format", "json"],
+        ["lift", worked_file, str(tmp_path / "lifted.el")],
+        ["verify", worked_file],
+        ["generate", "--n", "12", "--p-edge", "0.3", "--p-loop", "0.3", "--seed", "4",
+         "--out", generated],
+        ["analyze", generated, "--format", "json"],
+        ["lift", generated, str(tmp_path / "lifted_g.el")],
+        ["sweep", "--mode", "exhaustive", "--n-max", "2"],
+        ["sweep", "--n-max", "6", "--samples", "10", "--seed", "3"],
+    ]
+    for argv in passing:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        _assert_json_dumps_layout(out)
+    # a failed certificate prints its -inf margins as null
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "lift", misrouted_spoke)
+        code, out, _ = run_cli(capsys, "verify", worked_file)
+    assert code == 1 and '"margin": null' in out
+    _assert_json_dumps_layout(out)
+    # failing checks, and failing sweeps with their records, in both modes
+    monkeypatch.setattr(spectral, "MATCH_TOL", 1e-300)
+    for argv in (
+        ["verify", worked_file],
+        ["sweep", "--mode", "exhaustive", "--n-max", "2"],
+        ["sweep", "--n-max", "6", "--samples", "10", "--seed", "3"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1, argv
+        _assert_json_dumps_layout(out)
