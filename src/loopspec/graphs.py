@@ -19,6 +19,7 @@ loops are stripped) and the loop count q.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -176,35 +177,38 @@ _MAX_PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: a decoded token fits in int64
 
 
 def _parse_plain(data: bytes) -> Graph | None:
-    """The Graph that :func:`parse_edge_list`'s line loop returns for ``data``,
-    computed in numpy, or ``None`` wherever the loop might read it differently
-    or reject it; never raises.
+    """The Graph that the line loop :func:`_parse_lines` returns for the
+    ASCII text ``data``, computed in numpy, or ``None`` wherever the loop
+    might read it differently or reject it; never raises.
 
     Reads the format above with only spaces and newlines between fields:
     exactly two tokens on every non-blank line, tokens of at most 18 digits,
     n >= 1, endpoints in 1..n and exactly the declared number of distinct
-    edges. Once the tokens are checked, numpy's integer parser decodes them.
-    Everything else (comments, CRLF, tabs, any malformed file) is left to the
-    loop, so the loop alone defines the grammar's errors.
+    edges. The checks call ndarray methods, not ``np.any``, ``np.flatnonzero``
+    or ``np.searchsorted``, whose Python wrappers cost more than their work at
+    small orders. Once the tokens are checked, numpy's integer parser decodes
+    them. Everything else (comments, CRLF, tabs, non-ASCII bytes, any
+    malformed file) is left to the loop, so the loop alone defines the
+    grammar's errors.
     """
     if data.translate(None, b"0123456789 \n"):
         return None
     buf = np.frombuffer(b" " + data + b" ", dtype=np.uint8)
     is_digit = buf > 32  # past the check above, only digits lie above b" "
-    bounds = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    bounds = (is_digit[1:] != is_digit[:-1]).nonzero()[0] + 1
     starts, ends = bounds[0::2], bounds[1::2]
     if starts.size < 2 or starts.size % 2:
         return None
     if int((ends - starts).max()) > _MAX_PLAIN_DIGITS:
         return None
-    line = np.searchsorted(np.flatnonzero(buf == 10), starts)  # newlines before each token
-    if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] == line[1:-1:2]):
+    line = (buf == 10).nonzero()[0].searchsorted(starts)  # newlines before each token
+    if (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
         return None
     values = np.fromstring(data, dtype=np.int64, sep=" ")
     n, declared = int(values[0]), int(values[1])
     lo = np.minimum(values[2::2], values[3::2])
     hi = np.maximum(values[2::2], values[3::2])
-    if n < 1 or lo.size != declared or np.any(lo < 1) or np.any(hi > n):
+    if n < 1 or lo.size != declared or (lo < 1).any() or (hi > n).any():
         return None
     edges = frozenset(zip(lo.tolist(), hi.tolist()))
     if len(edges) != declared:
@@ -216,10 +220,15 @@ def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text; raises :class:`EdgeListError` with a line number.
 
     Plain ASCII text goes through :func:`_parse_plain` first; the line loop
-    below parses whatever it declines and raises every error.
+    :func:`_parse_lines` parses whatever it declines and raises every error.
     """
     if text.isascii() and (g := _parse_plain(text.encode("ascii"))) is not None:
         return g
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
+    """The line loop: reads any edge-list text and raises every grammar error."""
     n: int | None = None
     declared = 0
     edges: set[Edge] = set()
@@ -270,8 +279,26 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(path: str | Path) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    """Read an edge-list file: the Graph, or the error, of
+    ``parse_edge_list(Path(path).read_text())``.
+
+    The file's bytes go to :func:`_parse_plain` undecoded: it reads only ASCII
+    digits, spaces and newlines, which every ASCII-compatible encoding
+    decodes alike. Only when it declines are the same bytes decoded as
+    ``Path.read_text()`` decodes them (the locale encoding, strict errors,
+    universal newlines) and read by the line loop; bytes that do not decode
+    raise ``UnicodeDecodeError``.
+    """
+    data = Path(path).read_bytes()
+    g = _parse_plain(data)
+    return g if g is not None else _parse_lines(io.TextIOWrapper(io.BytesIO(data)).read())
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
+    r"""Write :func:`format_edge_list`'s ASCII text with ``Path.write_text``.
+
+    Line ends are the platform's: where they are ``\n``, :func:`read_edge_list`
+    reads the file back by the numpy route; ``\r\n`` (Windows) takes the line
+    loop.
+    """
     Path(path).write_text(format_edge_list(g))

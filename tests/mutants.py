@@ -234,14 +234,14 @@ MUTANTS = [
         "plain-kernel-without-pairs-on-one-line",
         "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
-        "np.any(line[0::2] != line[1::2]) or ",
+        "(line[0::2] != line[1::2]).any() or ",
         "",
     ),
     (
         "plain-kernel-without-one-pair-per-line",
         "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
-        " or np.any(line[2::2] == line[1:-1:2])",
+        " or (line[2::2] == line[1:-1:2]).any()",
         "",
     ),
     (
@@ -255,14 +255,14 @@ MUTANTS = [
         "plain-kernel-admits-endpoint-0",
         "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
-        " or np.any(lo < 1) or",
+        " or (lo < 1).any() or",
         " or",
     ),
     (
         "plain-kernel-admits-endpoints-above-n",
         "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
-        " or np.any(hi > n):",
+        " or (hi > n).any():",
         ":",
     ),
     (
@@ -277,6 +277,38 @@ MUTANTS = [
         "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
         "    if len(edges) != declared:\n        return None\n",
+        "",
+    ),
+    (
+        # a UTF-8 file with a byte that does not decode would be read
+        "read-edge-list-decodes-as-latin-1",
+        "tests/test_graphs.py::test_read_edge_list_equals_parse_of_read_text",
+        GRAPHS,
+        "io.TextIOWrapper(io.BytesIO(data))",
+        'io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")',
+    ),
+    (
+        # a form feed that pads a line would be stripped, not refused
+        "line-loop-strips-all-whitespace",
+        "tests/test_graphs.py::test_parse_rejects_separators_outside_the_grammar",
+        GRAPHS,
+        'line = raw.strip(" \\t")',
+        "line = raw.strip()",
+    ),
+    (
+        # U+001C, U+2028 and their kind would end a line
+        "line-loop-splits-at-every-line-boundary",
+        "tests/test_graphs.py::test_parse_rejects_separators_outside_the_grammar",
+        GRAPHS,
+        '.replace("\\r", "\\n").split("\\n")',
+        '.replace("\\r", "\\n").splitlines()',
+    ),
+    (
+        # a lone \r would no longer end a line
+        "line-loop-without-the-cr-line-end",
+        "tests/test_graphs.py::test_parse_equals_frozen_line_loop[cr]",
+        GRAPHS,
+        '.replace("\\r", "\\n")',
         "",
     ),
     (

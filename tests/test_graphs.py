@@ -478,3 +478,54 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "g.el"
     write_edge_list(g, path)
     assert read_edge_list(path) == g
+
+
+def _outcome(read, path):
+    """The Graph that ``read(path)`` returns, or the class and message of the
+    ValueError it raises (EdgeListError, UnicodeDecodeError)."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _read_text_then_parse(path):
+    return parse_edge_list(path.read_text())
+
+
+# Files whose bytes read_edge_list must read as parse_edge_list reads their
+# Path.read_text(): the numpy route's own bytes, the line loop's line ends and
+# separators, bytes that decode to non-ASCII text or not at all, and errors.
+FILE_BYTES = {
+    "plain": b"2 2\n1 1\n1 2\n",
+    "comments": b"# worked example\n2 2\n1 1\n\n# the bridge\n1 2\n",
+    "crlf": b"2 2\r\n1 1\r\n1 2\r\n",
+    "crlf with an error on line 3": b"2 2\r\n1 1\r\n1 3\r\n",
+    "lone cr": b"2 2\r1 1\r1 2\r",
+    "lone cr with an error on line 2": b"2 1\r1 x\r",
+    "tabs": b"2\t2\n1\t1\n\t1 \t2\t\n",
+    "utf-8 non-ascii comment": "# caf\u00e9 \u0661\u0662\n2 2\n1 1\n1 2\n".encode(),
+    "utf-8 non-ascii digit": "2 1\n1 \u0662\n".encode(),
+    "invalid utf-8 in a comment": b"# caf\xe9\n2 2\n1 1\n1 2\n",
+    "invalid utf-8 in a token": b"2 1\n1 \xff2\n",
+    "utf-8 bom": b"\xef\xbb\xbf2 2\n1 1\n1 2\n",
+    "empty": b"",
+    "header only": b"3 2\n",
+    "19-digit token": b"2 1\n1000000000000000000 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_BYTES))
+def test_read_edge_list_equals_parse_of_read_text(name, tmp_path):
+    path = tmp_path / "g.el"
+    path.write_bytes(FILE_BYTES[name])
+    assert _outcome(read_edge_list, path) == _outcome(_read_text_then_parse, path)
+
+
+def test_read_edge_list_equals_parse_of_read_text_on_written_files(tmp_path):
+    # criterion 3's graphs and a sparse N = 2000 graph of many components
+    path = tmp_path / "g.el"
+    sparse = random_graph(GeneratorConfig(2000, 0.0005, 0.05, seed=2000))
+    for g in campaign_graphs()[1098:] + (sparse,):
+        write_edge_list(g, path)
+        assert read_edge_list(path) == _read_text_then_parse(path) == g, g
