@@ -106,10 +106,14 @@ def _print_json(payload: dict) -> None:
 
 
 def _load(path: str) -> Graph:
+    """``read_edge_list(path)``, whose grammar and decoding errors name the
+    file."""
     try:
         return read_edge_list(path)
     except EdgeListError as exc:
         raise EdgeListError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _check_dense_order(source: str, order: int) -> None:

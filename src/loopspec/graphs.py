@@ -184,8 +184,9 @@ def _parse_plain(data: bytes) -> Graph | None:
     Reads the format above with only spaces and newlines between fields:
     exactly two tokens on every non-blank line, tokens of at most 18 digits,
     n >= 1, endpoints in 1..n and exactly the declared number of distinct
-    edges. The checks call ndarray methods, not ``np.any``, ``np.flatnonzero``
-    or ``np.searchsorted``, whose Python wrappers cost more than their work at
+    edges. The checks call ``np.count_nonzero`` and ndarray methods, not
+    ``np.any``, ``ndarray.any``, ``ndarray.max``, ``np.flatnonzero`` or
+    ``np.searchsorted``, whose Python wrappers cost more than their work at
     small orders. Once the tokens are checked, numpy's integer parser decodes
     them. Everything else (comments, CRLF, tabs, non-ASCII bytes, any
     malformed file) is left to the loop, so the loop alone defines the
@@ -199,16 +200,18 @@ def _parse_plain(data: bytes) -> Graph | None:
     starts, ends = bounds[0::2], bounds[1::2]
     if starts.size < 2 or starts.size % 2:
         return None
-    if int((ends - starts).max()) > _MAX_PLAIN_DIGITS:
+    if np.count_nonzero(ends - starts > _MAX_PLAIN_DIGITS):
         return None
     line = (buf == 10).nonzero()[0].searchsorted(starts)  # newlines before each token
-    if (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
+    # a pair split over two lines, or two pairs sharing one
+    split, shared = line[0::2] != line[1::2], line[2::2] == line[1:-1:2]
+    if np.count_nonzero(split) or np.count_nonzero(shared):
         return None
     values = np.fromstring(data, dtype=np.int64, sep=" ")
     n, declared = int(values[0]), int(values[1])
     lo = np.minimum(values[2::2], values[3::2])
     hi = np.maximum(values[2::2], values[3::2])
-    if n < 1 or lo.size != declared or (lo < 1).any() or (hi > n).any():
+    if n < 1 or lo.size != declared or np.count_nonzero(lo < 1) or np.count_nonzero(hi > n):
         return None
     edges = frozenset(zip(lo.tolist(), hi.tolist()))
     if len(edges) != declared:
@@ -289,7 +292,8 @@ def read_edge_list(path: str | Path) -> Graph:
     universal newlines) and read by the line loop; bytes that do not decode
     raise ``UnicodeDecodeError``.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as file:
+        data = file.read()
     g = _parse_plain(data)
     return g if g is not None else _parse_lines(io.TextIOWrapper(io.BytesIO(data)).read())
 

@@ -12,8 +12,8 @@ The lifted Laplacian LL is never solved whole and enters no matrix product:
 its mirror split (see :mod:`loopspec.lifting`) gives spec(LL) = spec(L(G)) U
 spec(S), S of order N + 1. ``verify_all`` checks that split exactly in
 integers, and the certificate carries L(G)'s residual to the lift. It solves
-L(G) and takes lambda_max(S), which scales the lifted tolerances, from
-LAPACK's ``eigvalsh`` on S.
+L(G) alone, and takes lambda_max(S), which scales the lifted tolerances,
+from L(G)'s eigenpairs by S's secular equation: one LAPACK call per graph.
 
 Check identifiers used in reports (fixed wire format): ``eq2``, ``eq3``,
 ``eq8``, ``lemma1``, ``eq6``, ``eq7`` and ``lift-eigvec``. :func:`_claims`
@@ -51,6 +51,12 @@ __all__ = [
 SOLVER_TOL = 1e-12      # eigenvalue accuracy eigen_sym is tested to, relative to ||M||_F
 MATCH_TOL = 1e-8        # absolute eigenvalue match tolerance, scaled by max(1, rho)
 POSITIVITY_TOL = 1e-8   # positive-definiteness threshold, scaled by max(1, rho)
+
+_EPS = float(np.finfo(np.float64).eps)
+# Steps of _lifted_top's root finder. The campaigns take 2-9; a pole just
+# outside the merge window takes up to about 60, as each step then only
+# about doubles the distance from it.
+_SECULAR_STEPS = 100
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -328,28 +334,72 @@ def _mirror_certificate(lap_lift: np.ndarray, lap: np.ndarray) -> bool:
     )
 
 
-def _lifted_top(lap_lift: np.ndarray, lap: np.ndarray) -> float:
+def _lifted_top(lap_lift: np.ndarray, spec: Spectrum) -> float:
     """lambda_max of the lift's block S = [[L(G), sqrt2 c], [sqrt2 c^T, d]],
-    c = LL[:n, n] and d = LL[n, n]: by the mirror split, lambda_max(LL). The
-    lift's own leading block of S is L(G) + 2B, B cross-copy; zero row sums
-    of a loopless lift and the exact certificate force B = 0, and where the
-    certificate fails, eq6 fails anyway. S is float64, finite and exactly
-    symmetric by construction, so it goes to LAPACK without ``eigen_sym``'s
-    input checks.
+    c = LL[:n, n] and d = LL[n, n] (by the mirror split, lambda_max(LL)),
+    from L(G)'s eigenpairs ``spec`` = (Lambda, V) by the secular equation.
+    The lift's own leading block of S is L(G) + 2B, B cross-copy; zero row
+    sums of a loopless lift and the exact certificate force B = 0, and where
+    the certificate fails, eq6 fails anyway.
+
+    In the basis Q = diag(V, 1), S is the arrowhead [[Lambda, z], [z^T, d]],
+    z = sqrt2 V^T c. Its top eigenvalue is lambda_N or the largest root of
+    d - x + sum_i w_i / (x - lambda_i), w_i = z_i^2 (Golub 1973). Weights at
+    or below (8 eps scale)^2 are dropped, and poles within 8 eps scale of
+    the top weighted pole lambda_p are merged into it, scale = max(1,
+    |lambda_1|, |lambda_N|, |d|). Above lambda_p the rest of the equation is
+    convex: each step keeps lambda_p's term exact, takes the tangent of the
+    rest at the current x and moves to the root of that model, taken from a
+    quadratic in its stable form. From x = lambda_p the steps rise to the
+    root without passing it, and stop when one gains less than a relative
+    ulp; past ``_SECULAR_STEPS`` steps :class:`JacobiConvergenceError` is
+    raised. The result is max(lambda_N, root): zero weights leave lambda_N
+    in spec(S), and a loopless graph gives max(lambda_N, 0).
+
+    The bound. With eta = ||V^T V - I||_F and R = L(G) V - V Lambda, which
+    ``verify_all`` computes, Q^T Q is within eta of I, so Q^T S Q has its
+    top eigenvalue within eta lambda_max(S) of S's (Ostrowski). Q^T S Q is
+    the arrowhead plus diag(E Lambda + V^T R, 0), E = V^T V - I, which moves
+    it by at most eta rho_base + (1 + eta) ||R||_F (Weyl), and the deflation
+    moves it by at most sqrt(n) 8 eps scale. The result is within the sum of
+    the three, and the steps' own rounding, of lambda_max(S).
     """
-    n = lap.shape[0]
-    # One float64 copy of LL's leading block, made before any scaling, so
-    # numpy 1.x never multiplies an int8 (int16) array by a Python float in
-    # float16 (float32). eigvalsh reads the lower triangle: the scaled
-    # column is copied into the row.
-    s = lap_lift[: n + 1, : n + 1].astype(np.float64)
-    s[:n, :n] = lap
-    s[:n, n] *= math.sqrt(2.0)
-    s[n, :n] = s[:n, n]
-    try:
-        return float(np.linalg.eigvalsh(s)[-1])
-    except np.linalg.LinAlgError as exc:
-        raise JacobiConvergenceError(f"eigvalsh did not converge ({exc})") from exc
+    lams = spec.eigenvalues.tolist()
+    n = len(lams)
+    d = float(lap_lift[n, n])
+    ys = (lap_lift[:n, n] @ spec.eigenvectors).tolist()  # V^T c
+    scale = max(1.0, abs(lams[0]), abs(lams[-1]), abs(d))
+    tol = 8.0 * _EPS * scale
+    kept = [(lam, w) for lam, y in zip(lams, ys) if (w := 2.0 * y * y) > tol * tol]
+    if not kept:
+        return max(lams[-1], d)
+    pole = kept[-1][0]
+    w_pole, rest = 0.0, []
+    for lam, w in kept:
+        if lam >= pole - tol:
+            w_pole += w
+        else:
+            rest.append((pole - lam, w))
+    # x = pole + t. With the rest's tangent at t, h - b (t' - t) where
+    # h = offset - t + s1 and b = 1 + s2, the model w_pole / t' + h - b (t' - t)
+    # = 0 is b t'^2 - a t' - w_pole = 0, a = h + b t; its positive root is t'.
+    t, offset = 0.0, d - pole
+    for _ in range(_SECULAR_STEPS):
+        s1 = s2 = 0.0
+        for delta, w in rest:
+            q = 1.0 / (delta + t)
+            u = w * q
+            s1 += u
+            s2 += u * q
+        a, b = offset + s1 + s2 * t, 1.0 + s2
+        disc = math.sqrt(a * a + 4.0 * b * w_pole)
+        step = (a + disc) / (2.0 * b) if a >= 0.0 else 2.0 * w_pole / (disc - a)
+        if step - t <= _EPS * (pole + step):
+            return max(lams[-1], pole + max(t, step))
+        t = step
+    raise JacobiConvergenceError(
+        f"the secular equation did not converge in {_SECULAR_STEPS} steps"
+    )
 
 
 def _solve_base(g: Graph) -> tuple[np.ndarray, Spectrum, _Census]:
@@ -363,8 +413,10 @@ def verify_all(g: Graph) -> VerificationReport:
     """Run every spectral check applicable to ``g`` (see :func:`_claims`)
     and report margins.
 
-    L(G) is solved, and the eigenvalues of the lift's block S (order N + 1)
-    are computed; LL itself never is. The exact mirror certificate carries
+    L(G) is solved, and nothing of the lifted order is: lambda_max of the
+    lift's block S (order N + 1) comes from L(G)'s eigenpairs by S's secular
+    equation, within the bound :func:`_lifted_top` states from the eta and
+    ||R||_F computed here. The exact mirror certificate carries
     L(G)'s residual R = L(G) V - V Lambda to the lift, and by Kahan's theorem
     n distinct lifted eigenvalues lie within ``gap = ||R||_F / sqrt(1 - eta)``
     of Lambda, eta = ||V^T V - I||_F; without the certificate, gap and the
@@ -373,8 +425,8 @@ def verify_all(g: Graph) -> VerificationReport:
     Absolute tolerances are :data:`MATCH_TOL` and :data:`POSITIVITY_TOL`,
     read when it runs, scaled by max(1, spectral radius) of the matrix each
     check concerns; for the lift, lambda_max of its block S
-    (:func:`_lifted_top`). Solver non-convergence, of either solve,
-    propagates as :class:`JacobiConvergenceError`.
+    (:func:`_lifted_top`). Non-convergence, of the solve or of the secular
+    equation, propagates as :class:`JacobiConvergenceError`.
     """
     lap, spec, census = _solve_base(g)
     lap_lift = laplacian_of(lift(g).lifted)
@@ -390,7 +442,7 @@ def verify_all(g: Graph) -> VerificationReport:
         worst_res = float(np.sqrt((res * res).sum(axis=0)).max())
         gap = _frobenius(res) / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf
 
-    rho_lift = _lifted_top(lap_lift, lap)
+    rho_lift = _lifted_top(lap_lift, spec)
     rho_base = spec.spectral_radius
     tol_base = MATCH_TOL * max(1.0, rho_base)
     tol_lift = MATCH_TOL * max(1.0, rho_lift)

@@ -458,8 +458,10 @@ def reference_lifted_top(lap_lift: np.ndarray, spec) -> float:
     (Golub 1973), from L(G)'s eigenpairs ``spec``: S is the arrowhead
     [[Lambda, z], [z^T, d]] in the basis diag(V, 1), z = sqrt2 V^T c, and
     f(mu) = mu - d - sum z_i^2 / (mu - lambda_i) increases above lambda_N to
-    S's top root (or none, and then lambda_N). A route to lambda_max(S)
-    independent of the ``eigvalsh`` call in ``spectral._lifted_top``."""
+    S's top root (or none, and then lambda_N). It is the equation that
+    ``spectral._lifted_top`` solves, solved by bisection with no deflation,
+    so it checks the steps and not the equation; ``eigvalsh`` on
+    :func:`symmetric_block` is the independent route to lambda_max(S)."""
     lam, n = spec.eigenvalues, spec.eigenvalues.size
     z2 = 2.0 * (spec.eigenvectors.T @ lap_lift[:n, n]) ** 2
     lo, d = float(lam[-1]), float(lap_lift[n, n])
@@ -517,8 +519,9 @@ def symmetric_block(lap_lift: np.ndarray) -> np.ndarray:
     of a lifted Laplacian with blocks [[A, c, B], [c^T, d, c^T], [B, c, A]]
     (see :mod:`loopspec.lifting`), as float64 with the sqrt2 border. It is
     written piece by piece into an empty matrix, as ``spectral._lifted_top``
-    once built S; on a certified lift, B = 0 and A = L(G), so it is the S
-    that ``_lifted_top`` hands to ``eigvalsh``."""
+    once built S for ``eigvalsh``; on a certified lift, B = 0 and A = L(G),
+    so it is the S whose top eigenvalue ``_lifted_top`` now takes from
+    L(G)'s eigenpairs."""
     n = lap_lift.shape[0] // 2
     s = np.empty((n + 1, n + 1))
     s[:n, :n] = lap_lift[:n, :n] + lap_lift[:n, n + 1 :]

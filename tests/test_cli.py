@@ -98,6 +98,21 @@ def test_analyze_malformed_line_names_it(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_undecodable_file_is_exit_2_and_named(tmp_path, capsys, command):
+    # a byte that is not UTF-8 leaves the numpy route, and the line loop's
+    # decoding error names the file, as a grammar error does
+    path = tmp_path / "latin1.el"
+    path.write_bytes(b"# caf\xe9\n2 2\n1 1\n1 2\n")
+    try:
+        path.read_text()
+    except UnicodeDecodeError as exc:
+        expected = f"error: {path}: {exc}\n"
+    else:
+        pytest.skip("the locale encoding decodes every byte")
+    assert run_cli(capsys, command, str(path)) == (2, "", expected)
+
+
 def test_missing_file_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "/nonexistent/g.el")
     assert code == 2
@@ -482,16 +497,10 @@ def test_sweep_records_solver_errors_and_goes_on(monkeypatch):
 
 
 def test_sweep_records_errors_of_the_lifted_block_solve_and_goes_on(monkeypatch):
-    # An eigvalsh that fails whenever S has a nonzero border, that is on
-    # every graph with a loop, must fail those graphs only.
-    eigvalsh = np.linalg.eigvalsh
-
-    def failing_bordered(s):
-        if np.any(s[:-1, -1]):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(s)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing_bordered)
+    # With no step allowed, the secular equation for lambda_max(S) fails
+    # whenever S has a nonzero border, that is on every graph with a loop,
+    # and it must fail those graphs only.
+    monkeypatch.setattr(spectral, "_SECULAR_STEPS", 0)
     result = run_sweep("exhaustive", n_max=3)
     graphs = [(n, i, g) for n in (1, 2, 3) for i, g in enumerate(enumerate_graphs(n))]
     looped = {(n, i) for n, i, g in graphs if g.loop_count}
