@@ -15,11 +15,16 @@ The graph facts the spectral claims rest on come from one traversal,
 :func:`_census`, one pass over the edges and one breadth-first search: the
 components, whether each holds a self-loop, d(G°) (the largest degree once
 loops are stripped) and the loop count q.
+
+:func:`parse_edge_list` reads edge-list text line by line and raises every
+grammar error. :func:`read_edge_list` first matches a file's bytes against one
+pattern of plain files and decodes their tokens with numpy's integer parser.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -173,39 +178,28 @@ def is_pseudo_connected(g: Graph) -> bool:
 # Lines starting with '#' and blank lines are ignored. Round-trips through
 # parse/format up to comments and edge order.
 
-_MAX_PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: a decoded token fits in int64
+# A plain file: blank lines of spaces, the header pair, then a pair or nothing
+# on each line; tokens of 1 to 18 digits (10**18 - 1 < 2**63 fits in int64),
+# spaces only between fields, "\n" only between lines. Every quantifier is
+# possessive, so a near miss fails in linear time.
+_DIGITS = rb"[0-9]{1,18}+"
+_PAIR = _DIGITS + rb"[ ]++" + _DIGITS + rb"[ ]*+"
+_PLAIN = re.compile(rb"(?:[ ]*+\n)*+[ ]*+" + _PAIR + rb"(?:\n[ ]*+(?:" + _PAIR + rb")?+)*+")
 
 
 def _parse_plain(data: bytes) -> Graph | None:
-    """The Graph that the line loop :func:`_parse_lines` returns for the
-    ASCII text ``data``, computed in numpy, or ``None`` wherever the loop
-    might read it differently or reject it; never raises.
+    """The Graph that :func:`parse_edge_list` returns for the ASCII text
+    ``data``, or ``None`` wherever the line loop might read it differently or
+    reject it; never raises.
 
-    Reads the format above with only spaces and newlines between fields:
-    exactly two tokens on every non-blank line, tokens of at most 18 digits,
-    n >= 1, endpoints in 1..n and exactly the declared number of distinct
-    edges. The checks call ``np.count_nonzero`` and ndarray methods, not
-    ``np.any``, ``ndarray.any``, ``ndarray.max``, ``np.flatnonzero`` or
-    ``np.searchsorted``, whose Python wrappers cost more than their work at
-    small orders. Once the tokens are checked, numpy's integer parser decodes
-    them. Everything else (comments, CRLF, tabs, non-ASCII bytes, any
-    malformed file) is left to the loop, so the loop alone defines the
-    grammar's errors.
+    ``_PLAIN`` admits the format above with only spaces and newlines around
+    its tokens of at most 18 digits; numpy's integer parser then decodes the
+    tokens, and the Graph is returned only for n >= 1, endpoints in 1..n and
+    exactly the declared number of distinct edges. Everything else
+    (comments, CRLF, tabs, non-ASCII bytes, any malformed file) is left to
+    the loop, so the loop alone defines the grammar's errors.
     """
-    if data.translate(None, b"0123456789 \n"):
-        return None
-    buf = np.frombuffer(b" " + data + b" ", dtype=np.uint8)
-    is_digit = buf > 32  # past the check above, only digits lie above b" "
-    bounds = (is_digit[1:] != is_digit[:-1]).nonzero()[0] + 1
-    starts, ends = bounds[0::2], bounds[1::2]
-    if starts.size < 2 or starts.size % 2:
-        return None
-    if np.count_nonzero(ends - starts > _MAX_PLAIN_DIGITS):
-        return None
-    line = (buf == 10).nonzero()[0].searchsorted(starts)  # newlines before each token
-    # a pair split over two lines, or two pairs sharing one
-    split, shared = line[0::2] != line[1::2], line[2::2] == line[1:-1:2]
-    if np.count_nonzero(split) or np.count_nonzero(shared):
+    if _PLAIN.fullmatch(data) is None:
         return None
     values = np.fromstring(data, dtype=np.int64, sep=" ")
     n, declared = int(values[0]), int(values[1])
@@ -220,18 +214,8 @@ def _parse_plain(data: bytes) -> Graph | None:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text; raises :class:`EdgeListError` with a line number.
-
-    Plain ASCII text goes through :func:`_parse_plain` first; the line loop
-    :func:`_parse_lines` parses whatever it declines and raises every error.
-    """
-    if text.isascii() and (g := _parse_plain(text.encode("ascii"))) is not None:
-        return g
-    return _parse_lines(text)
-
-
-def _parse_lines(text: str) -> Graph:
-    """The line loop: reads any edge-list text and raises every grammar error."""
+    """Parse edge-list text line by line; raises :class:`EdgeListError` with
+    a line number. This loop reads any text and raises every grammar error."""
     n: int | None = None
     declared = 0
     edges: set[Edge] = set()
@@ -285,17 +269,17 @@ def read_edge_list(path: str | Path) -> Graph:
     """Read an edge-list file: the Graph, or the error, of
     ``parse_edge_list(Path(path).read_text())``.
 
-    The file's bytes go to :func:`_parse_plain` undecoded: it reads only ASCII
-    digits, spaces and newlines, which every ASCII-compatible encoding
-    decodes alike. Only when it declines are the same bytes decoded as
-    ``Path.read_text()`` decodes them (the locale encoding, strict errors,
-    universal newlines) and read by the line loop; bytes that do not decode
-    raise ``UnicodeDecodeError``.
+    The file's bytes go to :func:`_parse_plain` undecoded: its pattern admits
+    only ASCII digits, spaces and newlines, which every ASCII-compatible
+    encoding decodes alike. Only when it declines are the same bytes decoded
+    as ``Path.read_text()`` decodes them (the locale encoding, strict errors,
+    universal newlines) and read by the line loop :func:`parse_edge_list`;
+    bytes that do not decode raise ``UnicodeDecodeError``.
     """
     with open(path, "rb") as file:
         data = file.read()
     g = _parse_plain(data)
-    return g if g is not None else _parse_lines(io.TextIOWrapper(io.BytesIO(data)).read())
+    return g if g is not None else parse_edge_list(io.TextIOWrapper(io.BytesIO(data)).read())
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:

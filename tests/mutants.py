@@ -241,25 +241,34 @@ MUTANTS = [
         "dtype=np.int8)",
     ),
     (
-        "plain-kernel-reads-19-digit-tokens",
+        "plain-pattern-reads-19-digit-tokens",
         "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
-        "_MAX_PLAIN_DIGITS = 18",
-        "_MAX_PLAIN_DIGITS = 19",
+        '_DIGITS = rb"[0-9]{1,18}+"',
+        '_DIGITS = rb"[0-9]{1,19}+"',
     ),
     (
-        "plain-kernel-without-pairs-on-one-line",
+        # a pair could split over two lines
+        "plain-pattern-separates-fields-by-newlines",
         "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
-        "np.count_nonzero(split) or ",
-        "",
+        '_DIGITS + rb"[ ]++" + _DIGITS',
+        '_DIGITS + rb"[ \\n]++" + _DIGITS',
     ),
     (
-        "plain-kernel-without-one-pair-per-line",
+        # a line could hold a third token
+        "plain-pattern-pads-pairs-with-digits",
         "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
         GRAPHS,
-        " or np.count_nonzero(shared)",
-        "",
+        '_DIGITS + rb"[ ]*+"',
+        '_DIGITS + rb"[ 0-9]*+"',
+    ),
+    (
+        "plain-pattern-without-the-header-pair",
+        "tests/test_graphs.py::test_parse_plain_declines_what_the_loop_must_judge",
+        GRAPHS,
+        '[ ]*+" + _PAIR + rb"(?:\\n',
+        '[ ]*+(?:" + _PAIR + rb")?+(?:\\n',
     ),
     (
         "plain-kernel-admits-n-0",

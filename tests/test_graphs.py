@@ -111,7 +111,7 @@ def test_graph_takes_no_assignment():
         g.n = 3
     with pytest.raises(FrozenInstanceError):
         g.edges = frozenset()
-    # the error class differs between Python versions (TypeError on 3.10-3.13)
+    # the error class differs between Python versions (TypeError on 3.11-3.13)
     with pytest.raises(Exception):
         g.label = "worked example"
     assert g == graph_from_edges(2, [(1, 1), (1, 2)])
@@ -481,12 +481,12 @@ def test_file_round_trip(tmp_path):
 
 
 def _outcome(read, path):
-    """The Graph that ``read(path)`` returns, or the class and message of the
-    ValueError it raises (EdgeListError, UnicodeDecodeError)."""
+    """The Graph that ``read(path)`` returns, or the class, message and
+    ``.line`` of the ValueError it raises (EdgeListError, UnicodeDecodeError)."""
     try:
         return read(path)
     except ValueError as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "line", None)
 
 
 def _read_text_then_parse(path):
@@ -529,3 +529,34 @@ def test_read_edge_list_equals_parse_of_read_text_on_written_files(tmp_path):
     for g in campaign_graphs()[1098:] + (sparse,):
         write_edge_list(g, path)
         assert read_edge_list(path) == _read_text_then_parse(path) == g, g
+
+
+# How the last line "i j" of a large written file may be changed so that the
+# pattern fails only at the end of a long match and leaves the file to the
+# line loop: two of them make the loop raise, the others it reads.
+LAST_LINE_DEFECTS = {
+    "19-digit token": lambda i, j: f"{i} {j:019d}",
+    "third token": lambda i, j: f"{i} {j} {j}",
+    "tab separator": lambda i, j: f"{i}\t{j}",
+    "trailing cr": lambda i, j: f"{i} {j}\r",
+    "comment": lambda i, j: f"# {i} {j}",
+}
+
+
+@pytest.fixture(scope="module")
+def written_lift():
+    # the lift of a sparse N = 2000 graph: 4001 vertices, about 150 KB of text
+    lifted = lift(random_graph(GeneratorConfig(2000, 0.004, 0.05, seed=2000))).lifted
+    return lifted, format_edge_list(lifted)
+
+
+@pytest.mark.parametrize("name", sorted(LAST_LINE_DEFECTS))
+def test_near_misses_on_the_last_line_of_a_large_file(name, written_lift, tmp_path):
+    lifted, text = written_lift
+    assert len(text) > 150_000 and _parse_plain(text.encode()) == lifted
+    head, last = text[:-1].rsplit("\n", 1)
+    data = (head + "\n" + LAST_LINE_DEFECTS[name](*map(int, last.split())) + "\n").encode()
+    assert _parse_plain(data) is None
+    path = tmp_path / "g.el"
+    path.write_bytes(data)
+    assert _outcome(read_edge_list, path) == _outcome(_read_text_then_parse, path)
