@@ -12,9 +12,9 @@ distinct, and construct ``Graph`` directly. ``Graph`` is slotted, so it takes
 no ad-hoc attributes, and graphs may share their immutable pair tuples.
 
 The graph facts the spectral claims rest on come from one traversal,
-:func:`_census`, one pass over the edges and one breadth-first search: the
+:func:`connected_components`, one pass over the edges and one BFS: the
 components, whether each holds a self-loop, d(G°) (the largest degree once
-loops are stripped) and the loop count q.
+loops are stripped) and the loop count q, in one :class:`ComponentPartition`.
 
 :func:`parse_edge_list` reads edge-list text line by line and raises every
 grammar error. :func:`read_edge_list` first matches a file's bytes against one
@@ -88,18 +88,6 @@ class Graph:
         return sum(1 for i, j in self.edges if i == j)
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Per-vertex component labels (vertex v -> labels[v-1]) in 1..count.
-
-    Two vertices share a label iff a path of non-loop edges connects them;
-    isolated vertices, looped or not, are singleton components.
-    """
-
-    labels: tuple[int, ...]
-    count: int
-
-
 def _add_pair(edges: set[Edge], n: int, i: int, j: int) -> None:
     """Add {i, j} to ``edges`` in canonical order, rejecting endpoints outside
     1..n and duplicates in either orientation."""
@@ -120,8 +108,13 @@ def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-class _Census(NamedTuple):
-    """:func:`_census`'s reading; ``labels`` and ``count`` as in ComponentPartition."""
+class ComponentPartition(NamedTuple):
+    """Per-vertex component labels (vertex v -> labels[v-1]) in 1..count.
+
+    Two vertices share a label iff a path of non-loop edges connects them;
+    isolated vertices, looped or not, are singleton components. Whether each
+    component holds a self-loop, d(G°) and the loop count q ride along.
+    """
 
     labels: tuple[int, ...]
     count: int
@@ -130,9 +123,10 @@ class _Census(NamedTuple):
     loops: int
 
 
-def _census(g: Graph) -> _Census:
-    """One pass over ``g.edges`` builds the adjacency lists and lists the
-    looped vertices; one BFS over the lists labels the components."""
+def connected_components(g: Graph) -> ComponentPartition:
+    """Partition vertices by non-loop-edge reachability, labels numbered by
+    first visit: one pass over ``g.edges`` builds the adjacency lists and
+    lists the looped vertices; one BFS over the lists labels the components."""
     adj: list[list[int]] = [[] for _ in range(g.n + 1)]
     looped: list[int] = []
     for i, j in g.edges:
@@ -155,12 +149,7 @@ def _census(g: Graph) -> _Census:
                     labels[w] = count
                     queue.append(w)
     pseudo = len({labels[v] for v in looped}) == count
-    return _Census(tuple(labels[1:]), count, pseudo, max(map(len, adj)), len(looped))
-
-
-def connected_components(g: Graph) -> ComponentPartition:
-    """Partition vertices by non-loop-edge reachability (BFS, labels by first visit)."""
-    return ComponentPartition(*_census(g)[:2])
+    return ComponentPartition(tuple(labels[1:]), count, pseudo, max(map(len, adj)), len(looped))
 
 
 def is_pseudo_connected(g: Graph) -> bool:
@@ -168,7 +157,7 @@ def is_pseudo_connected(g: Graph) -> bool:
     connected component contains at least one vertex with a self-loop. An
     isolated vertex is a loopless singleton component, so the per-component
     loop rule also enforces the minimum-degree clause."""
-    return _census(g).pseudo_connected
+    return connected_components(g).pseudo_connected
 
 
 # Edge-list text format: header line "n m", then m lines "i j" (i == j for a

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _Census, _census
+from .graphs import ComponentPartition, Graph, connected_components
 from .laplacian import laplacian_of
 from .lifting import lift
 
@@ -140,16 +140,16 @@ def degree_upper_bound(g: Graph) -> float:
     the maximum degree of the loop-stripped graph (for a loopless graph, its
     own maximum degree).
     """
-    return _degree_bound(_census(g))
+    return _degree_bound(connected_components(g))
 
 
-def _degree_bound(census: _Census) -> float:
+def _degree_bound(census: ComponentPartition) -> float:
     """:func:`degree_upper_bound` from the graph's census."""
     return 2.0 * census.max_nonloop_degree + (1.0 if census.loops else 0.0)
 
 
 def _claims(
-    g: Graph, eigenvalues: np.ndarray, census: _Census, lifted: tuple | None = None
+    g: Graph, eigenvalues: np.ndarray, census: ComponentPartition, lifted: tuple | None = None
 ) -> list[dict]:
     """Every claim that applies to ``g``, one row each in report order.
 
@@ -170,13 +170,13 @@ def _claims(
       [v; 0; -v] leaves a lifted residual within the lifted tolerance.
 
     ``eigenvalues`` are L(G)'s, ascending, and ``census``, ``g``'s
-    :func:`~loopspec.graphs._census`, gives the components, loops and d(G°)
-    that decide applicability and the degree bound. A row holds id, margin
-    (positive = slack) and ``pass``; the closed-form rows (eq2, eq3/eq8) also
-    kind ("lower"/"upper"), bound and value, and pass within the base match
-    tolerance. Without ``lifted``, ``verify_all``'s (tol_base, pos_base,
-    tol_lift, pos_lift, gap, worst_res), they alone are returned, with no
-    ``pass``.
+    :func:`~loopspec.graphs.connected_components`, gives the components,
+    loops and d(G°) that decide applicability and the degree bound. A row
+    holds id, margin (positive = slack) and ``pass``; the closed-form rows
+    (eq2, eq3/eq8) also kind ("lower"/"upper"), bound and value, and pass
+    within the base match tolerance. Without ``lifted``, ``verify_all``'s
+    (tol_base, pos_base, tol_lift, pos_lift, gap, worst_res), they alone are
+    returned, with no ``pass``.
     """
     rows: list[dict] = []
     loopless, pseudo = census.loops == 0, census.pseudo_connected
@@ -402,11 +402,11 @@ def _lifted_top(lap_lift: np.ndarray, spec: Spectrum) -> float:
     )
 
 
-def _solve_base(g: Graph) -> tuple[np.ndarray, Spectrum, _Census]:
+def _solve_base(g: Graph) -> tuple[np.ndarray, Spectrum, ComponentPartition]:
     """The stage ``analyze`` and ``verify_all`` share, of order N only: L(G),
     its spectrum and the census."""
     lap = laplacian_of(g)
-    return lap, eigen_sym(lap), _census(g)
+    return lap, eigen_sym(lap), connected_components(g)
 
 
 def verify_all(g: Graph) -> VerificationReport:

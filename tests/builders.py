@@ -7,12 +7,12 @@ import itertools
 import json
 import math
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
 from loopspec import (
-    ComponentPartition,
     EdgeListError,
     Graph,
     LiftedGraph,
@@ -148,9 +148,19 @@ def reference_laplacian_of(g: Graph) -> np.ndarray:
     return lap
 
 
-def reference_connected_components(g: Graph) -> ComponentPartition:
+class ReferencePartition(NamedTuple):
+    """The two fields ``ComponentPartition`` had before the traversal's other
+    readings joined it: per-vertex labels in 1..count, and count."""
+
+    labels: tuple[int, ...]
+    count: int
+
+
+def reference_connected_components(g: Graph) -> ReferencePartition:
     """Frozen copy of ``connected_components`` before its BFS ran on lists:
-    a dict of adjacency lists and a deque, labels numbered by first visit."""
+    a dict of adjacency lists and a deque, labels numbered by first visit.
+    It returns the labels and the count only; compare it with
+    ``connected_components(g)[:2]``."""
     adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
     for i, j in g.edges:
         if i != j:
@@ -170,10 +180,10 @@ def reference_connected_components(g: Graph) -> ComponentPartition:
                 if not labels[w - 1]:
                     labels[w - 1] = count
                     queue.append(w)
-    return ComponentPartition(tuple(labels), count)
+    return ReferencePartition(tuple(labels), count)
 
 
-def reference_pseudo_connected(g: Graph, parts: ComponentPartition) -> bool:
+def reference_pseudo_connected(g: Graph, parts: ReferencePartition) -> bool:
     """Frozen copy of ``graphs._pseudo_connected`` before the one traversal
     took it over: a second walk over the edges marks each looped vertex's
     component."""

@@ -234,6 +234,14 @@ MUTANTS = [
         "if top >= n:",
     ),
     (
+        # order 128..32767 would skip int32 and take int64
+        "laplacian-ladder-without-int32",
+        "tests/test_laplacian.py::test_the_dtype_rule_at_every_switch",
+        LAPLACIAN,
+        "(np.int8, np.int16, np.int32, np.int64)",
+        "(np.int8, np.int16, np.int64)",
+    ),
+    (
         "laplacian-always-int8",
         "tests/test_laplacian.py::test_the_largest_entry_fits_at_the_int8_boundary",
         LAPLACIAN,
@@ -344,6 +352,30 @@ MUTANTS = [
         GRAPHS,
         '.replace("\\r", "\\n")',
         "",
+    ),
+    (
+        # a run of spaces and tabs between two fields would be refused
+        "line-loop-keeps-empty-fields",
+        "tests/test_graphs.py::test_parse_equals_frozen_line_loop[runs of tabs and spaces]",
+        GRAPHS,
+        "[f for f in fields if f]",
+        "[f for f in fields]",
+    ),
+    (
+        # each BFS would label its start vertex alone
+        "components-bfs-without-reach",
+        "tests/test_graphs.py::test_components_worked_cases",
+        GRAPHS,
+        "                    queue.append(w)\n",
+        "",
+    ),
+    (
+        # the labels would be numbered by last visit
+        "components-numbered-from-the-last-vertex",
+        "tests/test_graphs.py::test_components_worked_cases",
+        GRAPHS,
+        "range(1, g.n + 1)",
+        "range(g.n, 0, -1)",
     ),
     (
         # a loop's vertex lists itself as a neighbour, so d(G°) counts loops

@@ -22,7 +22,7 @@ from loopspec import (
     read_edge_list,
     write_edge_list,
 )
-from loopspec.graphs import _census, _parse_plain
+from loopspec.graphs import _parse_plain
 from builders import (
     campaign_graphs,
     degree,
@@ -153,7 +153,7 @@ def test_components_worked_cases():
 
 @given(graphs())
 def test_components_equal_frozen_bfs(g):
-    assert connected_components(g) == reference_connected_components(g)
+    assert connected_components(g)[:2] == reference_connected_components(g)
 
 
 def test_components_equal_frozen_bfs_on_large_graphs():
@@ -163,7 +163,7 @@ def test_components_equal_frozen_bfs_on_large_graphs():
     order = (np.random.default_rng(2000).permutation(2000) + 1).tolist()
     path = graph_from_edges(2000, zip(order, order[1:]))
     for g in (sparse, path):
-        assert connected_components(g) == reference_connected_components(g)
+        assert connected_components(g)[:2] == reference_connected_components(g)
     assert connected_components(sparse).count > 100
     assert connected_components(path).count == 1
 
@@ -178,9 +178,9 @@ def test_census_equals_the_frozen_helpers():
     ]
     large.append(random_graph(GeneratorConfig(2000, 0.0005, 0.05, seed=2000)))
     for g in campaign_graphs() + tuple(large):
-        census = _census(g)
+        census = connected_components(g)
         parts = reference_connected_components(g)
-        assert (census.labels, census.count) == (parts.labels, parts.count), g
+        assert census[:2] == parts, g
         assert census.pseudo_connected == reference_pseudo_connected(g, parts), g
         assert census.max_nonloop_degree == reference_max_nonloop_degree(g), g
         assert census.loops == g.loop_count, g

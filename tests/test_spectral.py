@@ -17,6 +17,7 @@ from loopspec import (
     MATCH_TOL,
     SOLVER_TOL,
     Spectrum,
+    connected_components,
     degree_upper_bound,
     eigen_sym,
     enumerate_graphs,
@@ -28,7 +29,6 @@ from loopspec import (
     spectrum_subset,
     verify_all,
 )
-from loopspec.graphs import _census
 from loopspec.spectral import _degree_bound
 from builders import (
     campaign_graphs,
@@ -285,7 +285,7 @@ def test_even_cycle_attains_degree_bound():
 def test_bound_rows_are_the_bound_checks_of_the_report(g):
     # the rows analyze prints: the claims without the lifted inputs
     eigenvalues = eigen_sym(laplacian_of(g)).eigenvalues
-    rows = spectral._claims(g, eigenvalues, _census(g))
+    rows = spectral._claims(g, eigenvalues, connected_components(g))
     checks = [c for c in verify_all(g).checks if c.id in ("eq2", "eq3", "eq8")]
     assert [(r["id"], r["margin"]) for r in rows] == [(c.id, c.margin) for c in checks]
     for r in rows:
@@ -844,7 +844,7 @@ def _pseudo_connected_8():
 
 
 def _nonloop_degree_minus_1(g):
-    census = _census(g)
+    census = connected_components(g)
     return census._replace(max_nonloop_degree=census.max_nonloop_degree - 1)
 
 
@@ -875,7 +875,7 @@ _CHERRY_MISS = 3.0 - (2.0 + math.sqrt(3.0))
             lambda: [(_pseudo_connected_8(), {"lemma1": "fail", "eq7": "fail"})],
         ),
         (
-            "_census",
+            "connected_components",
             _nonloop_degree_minus_1,
             lambda: [
                 # eq6's interval 2 d(G°) + 1 then sits 1 below lambda_max = 4
